@@ -56,7 +56,6 @@ from repro.core.strategies.internal import InternalStrategy, PhasePolicy
 from repro.hardware.opoints import PENTIUM_M_TABLE
 from repro.sim.straightline import (
     _lower_gear_actions,
-    _start_indices,
     _vector_partition,
     run_batch,
 )
@@ -127,10 +126,7 @@ def vector_telemetry(workload, points) -> tuple[int, int, dict]:
     for strategy, _seed in points:
         plan = strategy.gear_plan(workload)
         actions = _lower_gear_actions(compiled, plan, PENTIUM_M_TABLE)
-        start = _start_indices(plan, PENTIUM_M_TABLE, workload.nprocs)
-        part, reason = _vector_partition(
-            compiled, lambda r: (start[r], tuple(actions[r]))
-        )
+        part, reason = _vector_partition(compiled, actions.labels())
         if part is None:
             fallbacks += 1
             reasons[reason] = reasons.get(reason, 0) + 1

@@ -49,9 +49,12 @@ from repro.workloads.compile import (
     OP_ISEND,
     OP_WAIT,
     REQ_RECV,
+    MEMO_CAP,
     CompiledProgram,
     CompileError,
     compile_workload,
+    lru_get,
+    lru_put,
 )
 
 __all__ = [
@@ -131,14 +134,14 @@ def _program_lists(compiled: CompiledProgram) -> tuple:
     return lists
 
 
-#: compiled program -> {(plan, opoints): lowered actions}.  GearPlan is a
+#: compiled program -> {(plan, opoints): _LoweredPlan}.  GearPlan is a
 #: frozen dataclass and tables hash by content, so sweeps that revisit a
 #: plan (e.g. the same gear pair across seeds) lower it once.  Each
 #: per-program dict is LRU-bounded at ``_ACTIONS_CACHE_CAP`` entries:
 #: grids with many one-shot plans (the optimizer's candidate search)
 #: would otherwise grow it without limit.
 _ACTIONS_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-_ACTIONS_CACHE_CAP = 64
+_ACTIONS_CACHE_CAP = MEMO_CAP
 
 #: process-wide gear-plan lowering counters (runner telemetry: sweeps
 #: snapshot deltas into ``CacheStats.lowering_hits``/``lowering_misses``).
@@ -158,44 +161,108 @@ _TABLES_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 #: across batches; consumers index but never mutate them.
 _PVEC_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 
+#: stands in for a per-rank call row a plan's table does not reach
+_MISSING = object()
 
-def _lower_gear_actions(compiled: CompiledProgram, plan, opoints) -> list[list[tuple]]:
+
+class _LoweredPlan(tuple):
+    """A gear plan lowered onto a compiled program: one row per rank.
+
+    Rows are shared tuples, one per distinct content, so row identity
+    is row equality.  ``shape`` is equal for two plans iff they fire at
+    the same hook positions on every rank.  :meth:`start` and
+    :meth:`labels` fill on first use: a bad setup table raises there.
+    """
+
+    def __new__(cls, rows, shape, plan, opoints):
+        self = super().__new__(cls, rows)
+        self.shape = shape
+        self._plan, self._opoints = plan, opoints
+        self._start = self._labels = None
+        return self
+
+    def start(self) -> list[int]:
+        """Post-setup operating-point index per rank."""
+        if self._start is None:
+            plan, opoints, n = self._plan, self._opoints, len(self)
+            if plan.start_mhz_per_rank is not None:
+                if len(plan.start_mhz_per_rank) != n:
+                    # The scalar path's strategy.setup raises the real error.
+                    raise StraightlineUnsupported("per-node plan length mismatch")
+                self._start = [opoints.index_of(opoints.by_mhz(m))
+                               for m in plan.start_mhz_per_rank]
+            elif plan.start_mhz is not None:
+                self._start = [opoints.index_of(opoints.by_mhz(plan.start_mhz))] * n
+            else:
+                self._start = [opoints.max_index] * n
+        return self._start
+
+    def labels(self) -> list[int]:
+        """Per-rank id of the rank's distinct ``(start, row)`` pair: two
+        ranks agree iff they hold identical gear state all run long."""
+        if self._labels is None:
+            ids: dict = {}
+            self._labels = [
+                ids.setdefault((s, id(row)), len(ids))
+                for s, row in zip(self.start(), self)
+            ]
+        return self._labels
+
+
+def _lower_gear_actions(compiled: CompiledProgram, plan, opoints) -> _LoweredPlan:
     """Lower a :class:`GearPlan` onto a compiled program's hook markers.
 
     Returns, per rank, ``(op position, target opoint index)`` pairs in
     program order — one per ``set_cpuspeed`` call the plan issues at
-    that marker.  A frequency the table doesn't carry, or a plan that
-    doesn't cover every rank, raises :class:`CompileError`; the caller
-    falls back and the event engine surfaces the genuine error.
+    that marker.  Ranks of one body group share markers, so a row
+    depends only on the rank's group and its rows of the plan's
+    per-rank tables: each distinct such key is lowered once, at its
+    first rank.  A frequency the table doesn't carry, or a plan that
+    doesn't cover a rank whose markers need it, raises
+    :class:`CompileError`; the caller falls back and the event engine
+    surfaces the genuine error.
     """
-    per_prog = _ACTIONS_CACHE.get(compiled)
-    if per_prog is None:
-        per_prog = _ACTIONS_CACHE[compiled] = {}
+    per_prog = _ACTIONS_CACHE.setdefault(compiled, {})
     key = (plan, opoints)
-    cached = per_prog.get(key)
+    cached = lru_get(per_prog, key)
     if cached is not None:
         _LOWERING_STATS["hits"] += 1
-        per_prog[key] = per_prog.pop(key)  # LRU: refresh recency
         return cached
+    n = compiled.nprocs
     exact = {p.frequency_mhz: i for i, p in enumerate(opoints)}
-    per_rank: list[list[tuple]] = []
+    tables = [plan.init_calls]
+    tables += [t for _, t in plan.rank_begin_calls + plan.rank_end_calls]
+    gof = compiled.group_of.tolist() if compiled.group_of is not None else range(n)
+    rank_keys = zip(gof, *(
+        list(t[:n]) + [_MISSING] * (n - len(t)) for t in tables
+    ))
+    slot_of: dict = {}  # rank key -> (row, index into shapes)
+    rows_by_content: dict = {}
+    shapes: dict = {}  # distinct position tuple -> first-seen index
+    slots = []
     try:
-        for rank in range(compiled.nprocs):
-            acts: list[tuple] = []
-            for pos, kind, phase in compiled.markers[rank]:
-                for mhz in plan.calls_at(kind, phase, rank):
-                    idx = exact.get(mhz)
-                    if idx is None:  # inexact MHz: by_mhz's tolerant scan
-                        idx = opoints.index_of(opoints.by_mhz(mhz))
-                    acts.append((pos, idx))
-            per_rank.append(acts)
+        for rank, rkey in enumerate(rank_keys):
+            slot = slot_of.get(rkey)
+            if slot is None:
+                row = tuple(  # inexact MHz: by_mhz's tolerant scan
+                    (pos, exact[mhz] if mhz in exact
+                     else opoints.index_of(opoints.by_mhz(mhz)))
+                    for pos, kind, phase in compiled.markers[rank]
+                    for mhz in plan.calls_at(kind, phase, rank)
+                )
+                row = rows_by_content.setdefault(row, row)
+                positions = tuple(pos for pos, _t in row)
+                slot = slot_of[rkey] = (
+                    row, shapes.setdefault(positions, len(shapes))
+                )
+            slots.append(slot)
     except (KeyError, IndexError, ValueError) as exc:
         raise CompileError(f"gear plan not executable: {exc!r}") from exc
     _LOWERING_STATS["misses"] += 1
-    per_prog[key] = per_rank
-    while len(per_prog) > _ACTIONS_CACHE_CAP:
-        per_prog.pop(next(iter(per_prog)))  # evict least-recently used
-    return per_rank
+    rows, shape_idx = zip(*slots)
+    lowered = _LoweredPlan(rows, (tuple(shapes), shape_idx), plan, opoints)
+    lru_put(per_prog, key, lowered)
+    return lowered
 
 
 class _Node:
@@ -1687,7 +1754,8 @@ def run_straightline(
     run); for gear-plan runs ``vector`` (whether the grouped path ran)
     and ``groups`` (execution group count; = nprocs on fallback).
     """
-    from repro.core.framework import Measurement
+    import numpy as np
+
     from repro.core.strategies.base import NoDvsStrategy
     from repro.hardware.network import NetworkParameters
     from repro.hardware.opoints import PENTIUM_M_TABLE
@@ -1706,7 +1774,6 @@ def run_straightline(
     power = NEMO_POWER if power is None else power
     opoints = PENTIUM_M_TABLE if opoints is None else opoints
     net = network_params if network_params is not None else NetworkParameters()
-    node_ids = list(range(workload.nprocs))
 
     compiled = compile_workload(workload, opoints.fastest.frequency_hz)
     max_idx = opoints.max_index
@@ -1744,65 +1811,76 @@ def run_straightline(
             stats["reduction_ticks"] = ex.reduction_ticks
     else:
         actions = _lower_gear_actions(compiled, plan, opoints)
-        start_idx = _start_indices(plan, opoints, workload.nprocs)
+        start_idx = actions.start()
         part, fallback_reason = None, "vector_disabled"
         if vector:
-            part, fallback_reason = _vector_partition(
-                compiled, lambda r: (start_idx[r], tuple(actions[r]))
-            )
+            part, fallback_reason = _vector_partition(compiled, actions.labels())
         if stats is not None:
             stats["fallback_reason"] = fallback_reason
             stats["groups"] = (
                 len(part[1]) if part is not None else workload.nprocs
             )
         if part is not None:
-            exec_of, members = part
-            qprog = _quotient_program(compiled, exec_of, members)
+            qprog = _quotient_program(compiled, *part)
             t_end, e_nodes, time_at, transitions = _run_grouped(
-                compiled, members, qprog, workload.cost_model(), net,
+                compiled, part, qprog, workload.cost_model(), net,
                 power, opoints, start_idx, actions, transition_latency_s,
             )
-            per_node = {nid: float(e_nodes[nid]) for nid in node_ids}
-            return Measurement(
-                workload=workload.tag,
-                strategy=strategy.describe(),
-                elapsed_s=t_end - 0.0,
-                energy_j=sum(per_node.values()),
-                per_node_energy_j=per_node,
-                dvs_transitions=transitions,
-                time_at_mhz=time_at,
-                acpi_energy_j=None,
-                baytech_energy_j=None,
-                trace=None,
-                report=None,
-                extras={},
+            return _measurement(
+                workload, strategy, t_end, e_nodes, time_at, transitions
             )
-        nodes = []
-        for idx in start_idx:
-            op = opoints[idx]
-            stall = transition_latency_s if idx != max_idx else 0.0
-            nodes.append(_Node(op.frequency_hz, op.frequency_mhz, op, stall, idx))
+        nodes = _start_nodes(opoints, start_idx, transition_latency_s)
         t_end, energies, hists, transitions = _execute(
             compiled, workload.cost_model(), net, power, nodes,
             opoints=opoints, gear_actions=actions,
             transition_latency_s=transition_latency_s,
         )
 
-    started_at = 0.0
-    per_node = {nid: energies[nid] for nid in node_ids}
-    # Merge per-node histograms in node-id order: one addition per
-    # (node, mhz) pair, same as summing CpuStats.time_at_mhz over nodes.
+    return _measurement(
+        workload, strategy, t_end, np.array(energies), _fold_hists(hists),
+        transitions,
+    )
+
+
+def _fold_hists(hists) -> dict:
+    """Merge per-node histograms in node-id order: one addition per
+    (node, mhz) pair, same as summing CpuStats.time_at_mhz over nodes."""
     time_at: dict[float, float] = {}
-    for nid in node_ids:
-        for mhz, secs in hists[nid].items():
+    for hist in hists:
+        for mhz, secs in hist.items():
             time_at[mhz] = time_at.get(mhz, 0.0) + secs
+    return time_at
+
+
+def _start_nodes(opoints, start_idx, transition_latency_s) -> list[_Node]:
+    """Post-setup node states: a setup speed call away from the fastest
+    point leaves one transition stall pending."""
+    nodes = []
+    for idx in start_idx:
+        op = opoints[idx]
+        stall = transition_latency_s if idx != opoints.max_index else 0.0
+        nodes.append(_Node(op.frequency_hz, op.frequency_mhz, op, stall, idx))
+    return nodes
+
+
+def _measurement(workload, strategy, elapsed_s, energies, time_at,
+                 transitions):
+    """The tier's :class:`Measurement` of one run.
+
+    ``energies`` is the (N,) per-node energy column; ``energy_j`` sums
+    its values in node-id order, the chain the event engine's
+    ``sum(per_node.values())`` evaluates.
+    """
+    from repro.core.framework import Measurement
+
+    per_node = dict(enumerate(energies.tolist()))
     return Measurement(
         workload=workload.tag,
         strategy=strategy.describe(),
-        elapsed_s=t_end - started_at,
+        elapsed_s=float(elapsed_s),
         energy_j=sum(per_node.values()),
         per_node_energy_j=per_node,
-        dvs_transitions=transitions,
+        dvs_transitions=int(transitions),
         time_at_mhz=time_at,
         acpi_energy_j=None,
         baytech_energy_j=None,
@@ -2742,52 +2820,37 @@ class _BatchExecutor:
         return energy, node_hists
 
 
-def _start_indices(plan, opoints, nprocs: int) -> list[int]:
-    """Post-setup operating-point index per rank for one plan."""
-    if plan.start_mhz_per_rank is not None:
-        if len(plan.start_mhz_per_rank) != nprocs:
-            # The scalar path's strategy.setup raises the real error.
-            raise StraightlineUnsupported("per-node plan length mismatch")
-        return [
-            opoints.index_of(opoints.by_mhz(m)) for m in plan.start_mhz_per_rank
-        ]
-    if plan.start_mhz is not None:
-        return [opoints.index_of(opoints.by_mhz(plan.start_mhz))] * nprocs
-    return [opoints.max_index] * nprocs
-
-
 # ----------------------------------------------------------------------
 # node-major vectorized tier: one interpreter rank per execution group
 # ----------------------------------------------------------------------
-#: compiled program -> {execution partition: quotient CompiledProgram}.
-#: A quotient program holds one representative rank per execution group
-#: and shares every body array with the original, so it costs a handful
-#: of small objects per distinct partition.
+#: compiled program -> {execution partition: quotient CompiledProgram},
+#: LRU-bounded at ``MEMO_CAP`` per program.  A quotient program holds
+#: one representative rank per execution group and shares every body
+#: array with the original: a handful of small objects per partition.
 _QUOTIENT_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _vector_partition(compiled: CompiledProgram, point_key):
+def _vector_partition(compiled: CompiledProgram, rank_keys):
     """Execution groups: body groups refined by per-rank gear state.
 
     Two ranks may share one interpreter rank only when they share a
     program body *and* identical gear state at every instant of the run
-    — ``point_key(rank)`` must capture the post-setup operating point
-    and the lowered gear actions.  Returns ``((exec_of, members), None)``
-    with group ids in first-rank order, or ``(None, reason)`` when the
-    refinement degenerates to one rank per group (nothing to share,
-    ``no_compression``), the compiler found no groups (``no_groups``),
-    or the program's point-to-point traffic does not classify into
-    exact group-level channel classes (the classifier's ``p2p_*``
-    code — see :func:`repro.workloads.compile.classify_channels`).
+    — ``rank_keys[rank]`` must capture the post-setup operating point
+    and the lowered gear actions (:meth:`_LoweredPlan.labels`).
+    Returns ``((exec_of, members), None)`` with group ids in first-rank
+    order, or ``(None, reason)`` when the refinement degenerates to one
+    rank per group (nothing to share, ``no_compression``), the compiler
+    found no groups (``no_groups``), or the program's point-to-point
+    traffic does not classify into exact group-level channel classes
+    (the classifier's ``p2p_*`` code — see
+    :func:`repro.workloads.compile.classify_channels`).
     """
     if compiled.group_of is None:
         return None, "no_groups"
-    gof = compiled.group_of
     sig_to_exec: dict = {}
     exec_of: list[int] = []
     members: list[list[int]] = []
-    for r in range(compiled.nprocs):
-        sig = (int(gof[r]), point_key(r))
+    for r, sig in enumerate(zip(compiled.group_of.tolist(), rank_keys)):
         e = sig_to_exec.get(sig)
         if e is None:
             e = sig_to_exec[sig] = len(members)
@@ -2824,11 +2887,9 @@ def _quotient_program(compiled: CompiledProgram, exec_of: list[int],
     """
     import numpy as np
 
-    per_prog = _QUOTIENT_CACHE.get(compiled)
-    if per_prog is None:
-        per_prog = _QUOTIENT_CACHE[compiled] = {}
+    per_prog = _QUOTIENT_CACHE.setdefault(compiled, {})
     key = tuple(exec_of)
-    q = per_prog.get(key)
+    q = lru_get(per_prog, key)
     if q is None:
         reps = [m[0] for m in members]
         G = len(reps)
@@ -2889,7 +2950,7 @@ def _quotient_program(compiled: CompiledProgram, exec_of: list[int],
             ),
             **req_rows,
         )
-        per_prog[key] = q
+        lru_put(per_prog, key, q)
     return q
 
 
@@ -2945,11 +3006,12 @@ def _merge_hists_nodewise(nprocs: int, members: list[list[int]],
     return time_at
 
 
-def _run_grouped(compiled: CompiledProgram, members: list[list[int]],
+def _run_grouped(compiled: CompiledProgram, part: tuple,
                  qprog: CompiledProgram, cost, net, power, opoints,
                  start_idx: list[int], actions, transition_latency_s: float):
     """Evaluate a static/piecewise-static run on the quotient program.
 
+    ``part`` is the ``(exec_of, members)`` execution partition.
     Interprets one representative rank per execution group (``coll_n``
     keeps collective durations modelling the full N-rank communicator)
     and broadcasts the per-group results over the member nodes with
@@ -2964,14 +3026,10 @@ def _run_grouped(compiled: CompiledProgram, members: list[list[int]],
     """
     import numpy as np
 
+    exec_of, members = part
     reps = [m[0] for m in members]
-    max_idx = opoints.max_index
-    nodes = []
-    for r in reps:
-        idx = start_idx[r]
-        op = opoints[idx]
-        stall = transition_latency_s if idx != max_idx else 0.0
-        nodes.append(_Node(op.frequency_hz, op.frequency_mhz, op, stall, idx))
+    nodes = _start_nodes(opoints, [start_idx[r] for r in reps],
+                         transition_latency_s)
     ex = _Executor(
         qprog, cost, net, power, nodes, opoints=opoints,
         gear_actions=[actions[r] for r in reps] if actions else None,
@@ -2985,9 +3043,7 @@ def _run_grouped(compiled: CompiledProgram, members: list[list[int]],
     trans_g = np.array([_gear_event_counts(nd) for nd in nodes],
                        dtype=np.int64)
     transitions = int(np.dot(counts, trans_g))
-    e_nodes = np.empty(compiled.nprocs)
-    for g, mem in enumerate(members):
-        e_nodes[mem] = energies_g[g]
+    e_nodes = np.array(energies_g)[exec_of]
     time_at = _merge_hists_nodewise(compiled.nprocs, members, hists_g)
     return t_end, e_nodes, time_at, transitions
 
@@ -3037,7 +3093,6 @@ def run_batch(
     """
     import numpy as np
 
-    from repro.core.framework import Measurement
     from repro.core.strategies.base import NoDvsStrategy
     from repro.hardware.network import NetworkParameters
     from repro.hardware.opoints import PENTIUM_M_TABLE
@@ -3052,7 +3107,7 @@ def run_batch(
     compiled = compile_workload(workload, opoints.fastest.frequency_hz)
 
     groups: dict[tuple, list[int]] = {}
-    prepared: dict[int, tuple] = {}
+    lowered: list[_LoweredPlan] = []
     for i, (strat, _seed) in enumerate(points):
         plan = strat.gear_plan(workload)
         if plan is None:
@@ -3060,11 +3115,10 @@ def run_batch(
                 "strategy has no static gear plan (dynamic DVS)",
                 reason="no_plan",
             )
-        acts = _lower_gear_actions(compiled, plan, opoints)
-        start = _start_indices(plan, opoints, workload.nprocs)
-        sig = tuple(tuple(pos for pos, _t in rank_acts) for rank_acts in acts)
-        groups.setdefault(sig, []).append(i)
-        prepared[i] = (start, acts)
+        low = _lower_gear_actions(compiled, plan, opoints)
+        low.start()  # a bad setup table raises before anything runs
+        groups.setdefault(low.shape, []).append(i)
+        lowered.append(low)
 
     cost = workload.cost_model()
     results: list = [None] * len(points)
@@ -3082,12 +3136,8 @@ def run_batch(
         _note("scalar_points")
         strat, seed = points[i]
         return run_straightline(
-            workload,
-            strat,
-            seed=seed,
-            network_params=network_params,
-            power=power,
-            opoints=opoints,
+            workload, strat, seed=seed, network_params=network_params,
+            power=power, opoints=opoints,
             transition_latency_s=transition_latency_s,
         )
 
@@ -3106,6 +3156,24 @@ def run_batch(
             evaluate(idxs[:mid])
             evaluate(idxs[mid:])
 
+    def batch_executor(prog, idxs: list[int], ranks) -> _BatchExecutor:
+        """A batch interpreter over ``prog``, whose rank ``q`` plays
+        ``ranks[q]``: per-rank (B,) start indices and gear targets."""
+        start_idx, gear_actions = [], []
+        for r in ranks:
+            start_idx.append(np.array(
+                [lowered[i].start()[r] for i in idxs], dtype=np.intp
+            ))
+            rows = [lowered[i][r] for i in idxs]
+            gear_actions.append([
+                (pos, np.array([row[a][1] for row in rows], dtype=np.intp))
+                for a, (pos, _t) in enumerate(rows[0])
+            ])
+        return _BatchExecutor(
+            prog, cost, net, power, opoints, start_idx, gear_actions,
+            transition_latency_s, coll_n=workload.nprocs,
+        )
+
     def grouped_batch(idxs: list[int]) -> bool:
         """Quotient-program batch: (B, G) work for a (B, N) sweep.
 
@@ -3115,68 +3183,31 @@ def run_batch(
         lowered actions across all points.  Per-group results broadcast
         to member nodes exactly as the scalar grouped path.
         """
+        plans = {id(lowered[i]): lowered[i] for i in idxs}.values()
         part, reason = _vector_partition(
-            compiled,
-            lambda r: (
-                tuple(prepared[i][0][r] for i in idxs),
-                tuple(tuple(prepared[i][1][r]) for i in idxs),
-            ),
+            compiled, list(zip(*(p.labels() for p in plans)))
         )
         if part is None:
             _note_reason(reason)
             return False
         exec_of, members = part
-        reps = [m[0] for m in members]
         qprog = _quotient_program(compiled, exec_of, members)
-        B = len(idxs)
-        start_idx = [
-            np.array([prepared[i][0][r] for i in idxs], dtype=np.intp)
-            for r in reps
-        ]
-        gear_actions = []
-        for r in reps:
-            template = prepared[idxs[0]][1][r]
-            acts = []
-            for a, (pos, _t) in enumerate(template):
-                targets = np.array(
-                    [prepared[i][1][r][a][1] for i in idxs], dtype=np.intp
-                )
-                acts.append((pos, targets))
-            gear_actions.append(acts)
-        ex = _BatchExecutor(
-            qprog, cost, net, power, opoints, start_idx, gear_actions,
-            transition_latency_s, coll_n=workload.nprocs,
-        )
+        ex = batch_executor(qprog, idxs, [m[0] for m in members])
         t_end = ex.run()
         energies_g, hists_g = ex.finalize(t_end)
         counts = np.array([len(m) for m in members], dtype=np.int64)
         trans_mat = np.stack(
-            [_gear_event_counts(nd, B) for nd in ex.nodes]
+            [_gear_event_counts(nd, len(idxs)) for nd in ex.nodes]
         )  # (G, B)
         trans = counts @ trans_mat
-        node_ids = list(range(workload.nprocs))
-        e_nodes = np.empty((workload.nprocs, B))
-        for g, mem in enumerate(members):
-            e_nodes[mem] = energies_g[g]
+        e_nodes = np.array(energies_g)[exec_of]  # (N, B)
         for k, i in enumerate(idxs):
-            strat, _seed = points[i]
-            per_node = {nid: float(e_nodes[nid][k]) for nid in node_ids}
             time_at = _merge_hists_nodewise(
                 workload.nprocs, members, [h[k] for h in hists_g]
             )
-            results[i] = Measurement(
-                workload=workload.tag,
-                strategy=strat.describe(),
-                elapsed_s=float(t_end[k]),
-                energy_j=sum(per_node.values()),
-                per_node_energy_j=per_node,
-                dvs_transitions=int(trans[k]),
-                time_at_mhz=time_at,
-                acpi_energy_j=None,
-                baytech_energy_j=None,
-                trace=None,
-                report=None,
-                extras={},
+            results[i] = _measurement(
+                workload, points[i][0], t_end[k], e_nodes[:, k], time_at,
+                trans[k],
             )
         return True
 
@@ -3195,48 +3226,14 @@ def run_batch(
                     # attempt that is all but certain to diverge too.
                     raise
                 # Anything else: the per-rank batch may still hold.
-        B = len(idxs)
-        start_idx = [
-            np.array([prepared[i][0][r] for i in idxs], dtype=np.intp)
-            for r in range(workload.nprocs)
-        ]
-        gear_actions = []
-        for r in range(workload.nprocs):
-            template = prepared[idxs[0]][1][r]
-            acts = []
-            for a, (pos, _t) in enumerate(template):
-                targets = np.array(
-                    [prepared[i][1][r][a][1] for i in idxs], dtype=np.intp
-                )
-                acts.append((pos, targets))
-            gear_actions.append(acts)
-        ex = _BatchExecutor(
-            compiled, cost, net, power, opoints, start_idx, gear_actions,
-            transition_latency_s,
-        )
+        ex = batch_executor(compiled, idxs, range(workload.nprocs))
         t_end = ex.run()
         energies, hists = ex.finalize(t_end)
-        node_ids = list(range(workload.nprocs))
+        e_nodes = np.array(energies)  # (N, B)
         for k, i in enumerate(idxs):
-            strat, _seed = points[i]
-            per_node = {nid: float(energies[nid][k]) for nid in node_ids}
-            time_at: dict[float, float] = {}
-            for nid in node_ids:
-                for mhz, secs in hists[nid][k].items():
-                    time_at[mhz] = time_at.get(mhz, 0.0) + secs
-            results[i] = Measurement(
-                workload=workload.tag,
-                strategy=strat.describe(),
-                elapsed_s=float(t_end[k]),
-                energy_j=sum(per_node.values()),
-                per_node_energy_j=per_node,
-                dvs_transitions=int(ex.transitions[k]),
-                time_at_mhz=time_at,
-                acpi_energy_j=None,
-                baytech_energy_j=None,
-                trace=None,
-                report=None,
-                extras={},
+            results[i] = _measurement(
+                workload, points[i][0], t_end[k], e_nodes[:, k],
+                _fold_hists(h[k] for h in hists), ex.transitions[k],
             )
         _note("per_rank_points", len(idxs))
 

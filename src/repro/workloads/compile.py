@@ -636,7 +636,30 @@ def _decline(reason: str) -> ChannelClassification:
     return ChannelClassification(exact=False, reason=reason)
 
 
-#: compiled program -> {tuple(exec_of): ChannelClassification}.
+#: Entry bound of every per-program memo dict keyed by plan or
+#: partition (here and in :mod:`repro.sim.straightline`): the optimizer
+#: makes a new plan, and often a new partition, per candidate batch.
+MEMO_CAP = 64
+
+
+def lru_get(memo: dict, key):
+    """``memo[key]`` (or ``None``), refreshed as most recently used."""
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
+def lru_put(memo: dict, key, value) -> None:
+    """Store ``memo[key] = value``, evicting least-recently used entries
+    beyond :data:`MEMO_CAP`."""
+    memo[key] = value
+    while len(memo) > MEMO_CAP:
+        memo.pop(next(iter(memo)))
+
+
+#: compiled program -> {tuple(exec_of): ChannelClassification}, each
+#: inner dict LRU-bounded at :data:`MEMO_CAP`.
 _CLASSIFY_CACHE: "weakref.WeakKeyDictionary[CompiledProgram, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -686,11 +709,10 @@ def classify_channels(
         per_part = _CLASSIFY_CACHE.setdefault(compiled, {})
     except TypeError:  # pragma: no cover - exotic compiled object
         per_part = {}
-    hit = per_part.get(key)
-    if hit is not None:
-        return hit
-    result = _classify(compiled, list(key), [list(m) for m in members])
-    per_part[key] = result
+    result = lru_get(per_part, key)
+    if result is None:
+        result = _classify(compiled, list(key), [list(m) for m in members])
+        lru_put(per_part, key, result)
     return result
 
 

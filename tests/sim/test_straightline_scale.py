@@ -9,15 +9,18 @@ change: cache keys, :data:`MODEL_VERSION`, and honest fallback on
 point-to-point workloads.
 
 Satellite coverage for the gear-plan lowering cache (LRU bound +
-process-wide reuse counters surfaced through ``CacheStats``) lives
+process-wide reuse counters surfaced through ``CacheStats``) and the
+LRU bound of the per-partition classify/quotient memo tables lives
 here too: the quotient tier re-lowers per grid point, so the cache is
 what keeps eligibility probing and batched sweeps O(distinct plans).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.framework import run_workload
@@ -30,12 +33,18 @@ from repro.hardware.opoints import PENTIUM_M_TABLE
 from repro.sim.straightline import (
     _ACTIONS_CACHE,
     _ACTIONS_CACHE_CAP,
+    _QUOTIENT_CACHE,
     _lower_gear_actions,
+    _quotient_program,
     lowering_cache_counters,
     run_batch,
     run_straightline,
 )
-from repro.workloads.compile import compile_workload
+from repro.workloads.compile import (
+    _CLASSIFY_CACHE,
+    classify_channels,
+    compile_workload,
+)
 from repro.workloads.npb import CG, EP, FT, MG
 
 WORKLOADS = {"EP": EP, "FT": FT, "CG": CG, "MG": MG}
@@ -219,6 +228,60 @@ def test_lowering_cache_is_lru_bounded() -> None:
     _lower_gear_actions(compiled, plans[-1], PENTIUM_M_TABLE)
     h1, _ = lowering_cache_counters()
     assert h1 == h0 + 1
+
+
+def _partition(keys):
+    """``(exec_of, members)`` of per-rank keys, ids in first-rank order."""
+    ids: dict = {}
+    exec_of, members = [], []
+    for r, k in enumerate(keys):
+        e = ids.setdefault(k, len(ids))
+        if e == len(members):
+            members.append([])
+        exec_of.append(e)
+        members[e].append(r)
+    return exec_of, members
+
+
+def _same_program(a, b) -> bool:
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, (list, tuple)) and x and isinstance(x[0], np.ndarray):
+            if len(x) != len(y) or not all(map(np.array_equal, x, y)):
+                return False
+        elif isinstance(x, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def test_partition_memo_tables_are_lru_bounded() -> None:
+    # One partition per candidate batch: each isolates a different pair
+    # of ranks from its body group.  Both memo tables keep the newest
+    # cap partitions; an evicted one re-derives identical results.
+    compiled = compile_workload(make("CG", 16), 1.4e9)
+    gof = compiled.group_of.tolist()
+    parts = [
+        _partition([(g, r if r in pair else -1) for r, g in enumerate(gof)])
+        for pair in itertools.combinations(range(16), 2)
+    ][: _ACTIONS_CACHE_CAP + 6]
+    first_cls = classify_channels(compiled, *parts[0])
+    first_q = _quotient_program(compiled, *parts[0])
+    for exec_of, members in parts[1:]:
+        classify_channels(compiled, exec_of, members)
+        _quotient_program(compiled, exec_of, members)
+    assert len(_CLASSIFY_CACHE[compiled]) == _ACTIONS_CACHE_CAP
+    assert len(_QUOTIENT_CACHE[compiled]) == _ACTIONS_CACHE_CAP
+    assert tuple(parts[0][0]) not in _CLASSIFY_CACHE[compiled]
+    assert tuple(parts[0][0]) not in _QUOTIENT_CACHE[compiled]
+    again_cls = classify_channels(compiled, *parts[0])
+    again_q = _quotient_program(compiled, *parts[0])
+    assert again_cls is not first_cls and again_cls == first_cls
+    assert again_q is not first_q and _same_program(again_q, first_q)
+    assert len(_CLASSIFY_CACHE[compiled]) == _ACTIONS_CACHE_CAP
+    assert len(_QUOTIENT_CACHE[compiled]) == _ACTIONS_CACHE_CAP
 
 
 def test_runner_stats_surface_lowering_reuse() -> None:

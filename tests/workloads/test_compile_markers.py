@@ -79,4 +79,4 @@ def test_unknown_frequency_raises_compile_error(compiled) -> None:
 
 def test_static_plan_lowers_to_no_actions(compiled) -> None:
     actions = _lower_gear_actions(compiled, GearPlan(), PENTIUM_M_TABLE)
-    assert all(acts == [] for acts in actions)
+    assert all(acts == () for acts in actions)
