@@ -4,13 +4,10 @@ Two questions, per workload shape:
 
 * **Throughput** — how many candidate plans per second does the
   optimizer's scoring path evaluate?  The same deterministic candidate
-  set is timed through one batched ``run_batch`` call (the quotient /
-  per-rank batch tiers, how the search actually scores) and through a
-  per-plan scalar ``run_straightline(vector=False)`` loop (the
-  pre-batch tier).  ``speedup_batch_vs_scalar`` is the ratio; the full
-  run on the symmetric FT shape is the reference for the ">= 10x
-  quotient-batch throughput over scalar straightline" claim in
-  ``docs/performance.md``.
+  set is timed through one batched ``run_batch`` call (the quotient
+  batch tier, how the search actually scores) and through a per-plan
+  scalar ``run_straightline`` loop (the scalar quotient, one point at
+  a time).  ``speedup_batch_vs_scalar`` is the ratio.
 * **Quality** — does the computed plan beat the hand-picked schedules?
   Per row, the optimizer runs at delta=0.05 and its winner's energy is
   compared against every feasible shipped candidate (the EXTERNAL
@@ -105,7 +102,7 @@ def bench_row(make_workload, code: str, *, sample: int, repeats: int) -> dict:
     best_scalar = float("inf")
     t0 = time.perf_counter()
     for plan, seed in points:
-        run_straightline(make_workload(), plan, seed=seed, vector=False)
+        run_straightline(make_workload(), plan, seed=seed)
     best_scalar = min(best_scalar, time.perf_counter() - t0)
     scalar_pps = len(points) / best_scalar
 

@@ -383,8 +383,6 @@ def _rank_groups(
         compiled = compile_workload(workload, opoints.fastest.frequency_hz)
     except CompileError:
         return tuple(range(workload.nprocs)), workload.nprocs, False
-    if compiled.group_of is None:
-        return tuple(range(workload.nprocs)), workload.nprocs, False
     group_of = tuple(int(g) for g in compiled.group_of)
     batchable = (
         compiled.n_requests == 0 or classify_channels(compiled).exact

@@ -271,11 +271,12 @@ class _Node:
     ``freq_hz``/``mhz``/``opoint``/``index`` track the *current* gear
     (mutated by :meth:`_Executor._apply_gear`); ``start_opoint`` and
     ``start_mhz`` keep the post-setup state :meth:`_Executor.finalize`
-    integrates from.
+    integrates from.  ``gears`` counts the node's in-run transitions,
+    which a quotient run weights by group size.
     """
 
     __slots__ = ("freq_hz", "mhz", "opoint", "index", "start_opoint",
-                 "start_mhz", "stall_until", "cpu_free", "events")
+                 "start_mhz", "stall_until", "cpu_free", "events", "gears")
 
     def __init__(self, freq_hz: float, mhz: float, opoint, stall_until: float,
                  index: int = -1) -> None:
@@ -288,6 +289,7 @@ class _Node:
         self.stall_until = stall_until
         self.cpu_free = 0.0
         self.events: list[tuple] = []  # (t, seq, kind, payload)
+        self.gears = 0
 
 
 class _Chan:
@@ -495,6 +497,7 @@ class _Executor:
             node.mhz = op.frequency_mhz
             node.opoint = op
             self.transitions += 1
+            node.gears += 1
             self._emit(node, t, _EV_GEAR, (op, op.frequency_mhz))
 
     # ------------------------------------------------------------------
@@ -953,17 +956,6 @@ class _Executor:
                 hist[mhz] = hist_get(mhz, 0.0) + dt
             hists.append(hist)
         return energies, hists
-
-
-def _execute(compiled: CompiledProgram, cost, net_params, power_params,
-             nodes: list[_Node], opoints=None, gear_actions=None,
-             transition_latency_s: float = 20e-6):
-    ex = _Executor(compiled, cost, net_params, power_params, nodes,
-                   opoints=opoints, gear_actions=gear_actions,
-                   transition_latency_s=transition_latency_s)
-    t_end = ex.run()
-    energies, hists = ex.finalize(t_end)
-    return t_end, energies, hists, ex.transitions
 
 
 # ----------------------------------------------------------------------
@@ -1727,7 +1719,6 @@ def run_straightline(
     opoints=None,
     transition_latency_s: float = 20e-6,
     stats=None,
-    vector: bool = True,
 ):
     """Measure a static- or piecewise-static-gear run on this tier.
 
@@ -1742,17 +1733,18 @@ def run_straightline(
     :class:`StraightlineUnsupported` when the run needs the event
     engine; :func:`try_run_straightline` converts those into ``None``.
 
-    ``vector`` (default on) lets gear-plan runs without point-to-point
-    traffic execute on the quotient program — one interpreter rank per
-    execution group (see :func:`_vector_partition`) — so interpretation
-    cost scales with distinct rank groups, not ranks.  The result is
-    bit-for-bit identical either way; the flag exists for differential
-    tests and benchmarking the per-rank path.
+    Gear-plan runs execute on the quotient program — one interpreter
+    rank per execution group (see :func:`_vector_partition`) — so
+    interpretation cost scales with distinct rank groups, not ranks.
+    When nothing compresses or the channel classifier declines, the
+    partition is the identity (one rank per group), which is exact by
+    construction.
 
     ``stats``, when a dict, receives tier telemetry:
     ``reduction_ticks`` (poll/reduction ticks of a stateful-controller
-    run); for gear-plan runs ``vector`` (whether the grouped path ran)
-    and ``groups`` (execution group count; = nprocs on fallback).
+    run); for gear-plan runs ``fallback_reason`` (the code for why the
+    run fell to the identity partition, else ``None``) and ``groups``
+    (execution group count; = nprocs on the identity).
     """
     import numpy as np
 
@@ -1806,40 +1798,23 @@ def run_straightline(
         )
         t_end = ex.run()
         energies, hists = ex.finalize(t_end)
-        transitions = ex.transitions
         if stats is not None:
             stats["reduction_ticks"] = ex.reduction_ticks
-    else:
-        actions = _lower_gear_actions(compiled, plan, opoints)
-        start_idx = actions.start()
-        part, fallback_reason = None, "vector_disabled"
-        if vector:
-            part, fallback_reason = _vector_partition(compiled, actions.labels())
-        if stats is not None:
-            stats["fallback_reason"] = fallback_reason
-            stats["groups"] = (
-                len(part[1]) if part is not None else workload.nprocs
-            )
-        if part is not None:
-            qprog = _quotient_program(compiled, *part)
-            t_end, e_nodes, time_at, transitions = _run_grouped(
-                compiled, part, qprog, workload.cost_model(), net,
-                power, opoints, start_idx, actions, transition_latency_s,
-            )
-            return _measurement(
-                workload, strategy, t_end, e_nodes, time_at, transitions
-            )
-        nodes = _start_nodes(opoints, start_idx, transition_latency_s)
-        t_end, energies, hists, transitions = _execute(
-            compiled, workload.cost_model(), net, power, nodes,
-            opoints=opoints, gear_actions=actions,
-            transition_latency_s=transition_latency_s,
+        return _measurement(
+            workload, strategy, t_end, np.array(energies), _fold_hists(hists),
+            ex.transitions,
         )
 
-    return _measurement(
-        workload, strategy, t_end, np.array(energies), _fold_hists(hists),
-        transitions,
+    actions = _lower_gear_actions(compiled, plan, opoints)
+    part, fallback_reason = _vector_partition(compiled, actions.labels())
+    if stats is not None:
+        stats["fallback_reason"] = fallback_reason
+        stats["groups"] = len(part[1])
+    t_end, e_nodes, time_at, transitions = _run_grouped(
+        compiled, part, workload.cost_model(), net, power, opoints,
+        actions, transition_latency_s,
     )
+    return _measurement(workload, strategy, t_end, e_nodes, time_at, transitions)
 
 
 def _fold_hists(hists) -> dict:
@@ -1899,7 +1874,6 @@ def try_run_straightline(
     opoints=None,
     transition_latency_s: float = 20e-6,
     stats=None,
-    vector: bool = True,
 ):
     """Like :func:`run_straightline` but returns ``None`` on fallback.
 
@@ -1918,7 +1892,6 @@ def try_run_straightline(
             opoints=opoints,
             transition_latency_s=transition_latency_s,
             stats=stats,
-            vector=vector,
         )
     except StraightlineUnsupported as exc:
         if stats is not None:
@@ -1937,9 +1910,9 @@ class _BNode:
     """Per-node state for a batch of B runs, as (B,) float64 arrays."""
 
     __slots__ = ("freq_hz", "opi", "start_opi", "stall_until", "cpu_free",
-                 "live_stall", "events")
+                 "live_stall", "events", "gears")
 
-    def __init__(self, opi, freq_hz, stall_until, zeros) -> None:
+    def __init__(self, opi, freq_hz, stall_until, zeros, gears) -> None:
         self.opi = opi  # (B,) operating-point indices
         self.start_opi = opi
         self.freq_hz = freq_hz
@@ -1951,6 +1924,7 @@ class _BNode:
         # (t_array, seq, kind, payload, mask) — mask is None (applies to
         # every element) or a (B,) bool array (partial gear changes).
         self.events: list[tuple] = []
+        self.gears = gears  # (B,) in-run transition counts
 
 
 class _BRank:
@@ -2022,7 +1996,6 @@ class _BatchExecutor:
         self.fastest_hz = compiled.fastest_hz
         self.transition_latency_s = transition_latency_s
         self.dvs_overhead_s = cost.dvs_call_overhead_s
-        self.transitions = np.zeros(B, dtype=np.int64)
         tabs = _TABLES_CACHE.get(opoints)
         if tabs is None:
             tabs = (np.array([op.frequency_hz for op in opoints]),
@@ -2031,13 +2004,16 @@ class _BatchExecutor:
         self.freq_tab, self.mhz_tab = tabs
         max_idx = opoints.max_index
         zeros = np.zeros(B)
+        no_gears = np.zeros(B, dtype=np.int64)
         self.nodes = []
         for r in range(self.n):
             opi = start_idx[r]
             # Strategy setup runs at t=0 on a CPU parked at the fastest
             # point: a changed index leaves the transition stall behind.
             stall = np.where(opi != max_idx, transition_latency_s, 0.0)
-            self.nodes.append(_BNode(opi, self.freq_tab[opi], stall, zeros))
+            self.nodes.append(
+                _BNode(opi, self.freq_tab[opi], stall, zeros, no_gears)
+            )
         self._has_gears = bool(gear_actions) and any(gear_actions)
         ratio = self.nodes[0].freq_hz
         for nd in self.nodes[1:]:
@@ -2148,7 +2124,7 @@ class _BatchExecutor:
             opi_new = np.where(changed, target, node.opi)
             node.opi = opi_new
             node.freq_hz = self.freq_tab[opi_new]
-            self.transitions = self.transitions + changed
+            node.gears = node.gears + changed
             self._emit(node, t, _EV_GEAR, opi_new, mask=changed)
 
     # -- network --------------------------------------------------------
@@ -2837,16 +2813,15 @@ def _vector_partition(compiled: CompiledProgram, rank_keys):
     program body *and* identical gear state at every instant of the run
     — ``rank_keys[rank]`` must capture the post-setup operating point
     and the lowered gear actions (:meth:`_LoweredPlan.labels`).
-    Returns ``((exec_of, members), None)`` with group ids in first-rank
-    order, or ``(None, reason)`` when the refinement degenerates to one
-    rank per group (nothing to share, ``no_compression``), the compiler
-    found no groups (``no_groups``), or the program's point-to-point
-    traffic does not classify into exact group-level channel classes
-    (the classifier's ``p2p_*`` code — see
+    Returns ``((exec_of, members), reason)`` with group ids in
+    first-rank order.  ``reason`` is ``None`` when the partition
+    compresses and is exact; otherwise the partition is the identity
+    (one rank per group, exact by construction) and ``reason`` says
+    why: the refinement left nothing to share (``no_compression``), or
+    the program's point-to-point traffic does not classify into exact
+    group-level channel classes (the classifier's ``p2p_*`` code — see
     :func:`repro.workloads.compile.classify_channels`).
     """
-    if compiled.group_of is None:
-        return None, "no_groups"
     sig_to_exec: dict = {}
     exec_of: list[int] = []
     members: list[list[int]] = []
@@ -2857,12 +2832,13 @@ def _vector_partition(compiled: CompiledProgram, rank_keys):
             members.append([])
         exec_of.append(e)
         members[e].append(r)
-    if len(members) >= compiled.nprocs:
-        return None, "no_compression"
+    if len(members) == compiled.nprocs:
+        return (exec_of, members), "no_compression"  # already the identity
     if compiled.n_requests:
         verdict = classify_channels(compiled, exec_of, members)
         if not verdict.exact:
-            return None, verdict.reason
+            n = compiled.nprocs
+            return (list(range(n)), [[r] for r in range(n)]), verdict.reason
     return (exec_of, members), None
 
 
@@ -2884,9 +2860,14 @@ def _quotient_program(compiled: CompiledProgram, exec_of: list[int],
     the quotient plays exactly the peer's role in the representative's
     lane, and matched requests sit at the same rank-local index in
     every lane.
+
+    The identity partition (one rank per group) returns ``compiled``
+    itself: the remap would rebuild identical tables.
     """
     import numpy as np
 
+    if len(members) == compiled.nprocs:
+        return compiled
     per_prog = _QUOTIENT_CACHE.setdefault(compiled, {})
     key = tuple(exec_of)
     q = lru_get(per_prog, key)
@@ -2954,27 +2935,6 @@ def _quotient_program(compiled: CompiledProgram, exec_of: list[int],
     return q
 
 
-def _gear_event_counts(node, B=None):
-    """Per-element count of gear transitions recorded on one node.
-
-    The executors increment their transition counters exactly once per
-    emitted ``_EV_GEAR`` event (setup-time speed calls never emit), so
-    counting events recovers the per-node share of the total — which a
-    quotient run needs to weight by group size.  ``B`` selects the
-    batch event layout (masked events count only masked elements).
-    """
-    if B is None:
-        return sum(1 for ev in node.events if ev[2] == _EV_GEAR)
-    import numpy as np
-
-    cnt = np.zeros(B, dtype=np.int64)
-    for ev in node.events:
-        if ev[2] == _EV_GEAR:
-            mask = ev[4]
-            cnt += 1 if mask is None else mask
-    return cnt
-
-
 def _merge_hists_nodewise(nprocs: int, members: list[list[int]],
                           hists_g: list[dict]) -> dict:
     """Node-order merge of per-group histograms into one ``time_at``.
@@ -3006,44 +2966,53 @@ def _merge_hists_nodewise(nprocs: int, members: list[list[int]],
     return time_at
 
 
-def _run_grouped(compiled: CompiledProgram, part: tuple,
-                 qprog: CompiledProgram, cost, net, power, opoints,
-                 start_idx: list[int], actions, transition_latency_s: float):
+def _broadcast_groups(part: tuple, ex, t_end):
+    """Finalize a quotient run and broadcast it over the member nodes.
+
+    Returns ``(transitions, e_nodes, hists_g)``: each group's gear
+    transition count weighted by its size, the per-node energies (one
+    row per node, indexed by execution group) and the per-group
+    histograms for :func:`_merge_hists_nodewise`.  Serves the scalar
+    (``(G,)`` per-node values) and batch (``(G, B)``) executors alike.
+    """
+    import numpy as np
+
+    exec_of, members = part
+    energies_g, hists_g = ex.finalize(t_end)
+    counts = np.array([len(m) for m in members], dtype=np.int64)
+    gears = np.array([nd.gears for nd in ex.nodes], dtype=np.int64)
+    return counts @ gears, np.array(energies_g)[exec_of], hists_g
+
+
+def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
+                 opoints, actions: _LoweredPlan, transition_latency_s: float):
     """Evaluate a static/piecewise-static run on the quotient program.
 
     ``part`` is the ``(exec_of, members)`` execution partition.
     Interprets one representative rank per execution group (``coll_n``
     keeps collective durations modelling the full N-rank communicator)
     and broadcasts the per-group results over the member nodes with
-    numpy fancy indexing.  Exactness: with no point-to-point traffic,
-    ranks in one execution group compute identical float chains — the
-    only cross-rank couplings are collective completions, and ``max``
+    numpy fancy indexing.  Exactness: ranks in one execution group
+    compute identical float chains — the only cross-rank couplings are
+    collective completions and classified channel lanes, and ``max``
     over the distinct per-group values equals ``max`` over the full
     rank set bit-for-bit (the result is always an operand).
 
     Returns ``(t_end, e_nodes, time_at, transitions)`` with ``e_nodes``
     an (N,) array of per-node energies.
     """
-    import numpy as np
-
     exec_of, members = part
     reps = [m[0] for m in members]
+    start_idx = actions.start()
     nodes = _start_nodes(opoints, [start_idx[r] for r in reps],
                          transition_latency_s)
     ex = _Executor(
-        qprog, cost, net, power, nodes, opoints=opoints,
-        gear_actions=[actions[r] for r in reps] if actions else None,
-        transition_latency_s=transition_latency_s,
-        coll_n=compiled.nprocs,
+        _quotient_program(compiled, exec_of, members), cost, net, power,
+        nodes, opoints=opoints, gear_actions=[actions[r] for r in reps],
+        transition_latency_s=transition_latency_s, coll_n=compiled.nprocs,
     )
     t_end = ex.run()
-    energies_g, hists_g = ex.finalize(t_end)
-
-    counts = np.array([len(m) for m in members], dtype=np.int64)
-    trans_g = np.array([_gear_event_counts(nd) for nd in nodes],
-                       dtype=np.int64)
-    transitions = int(np.dot(counts, trans_g))
-    e_nodes = np.array(energies_g)[exec_of]
+    transitions, e_nodes, hists_g = _broadcast_groups(part, ex, t_end)
     time_at = _merge_hists_nodewise(compiled.nprocs, members, hists_g)
     return t_end, e_nodes, time_at, transitions
 
@@ -3056,7 +3025,6 @@ def run_batch(
     power=None,
     opoints=None,
     transition_latency_s: float = 20e-6,
-    vector: bool = True,
     stats: Optional[dict] = None,
 ):
     """Measure many ``(strategy, seed)`` points of one workload at once.
@@ -3071,21 +3039,19 @@ def run_batch(
     draws randomness).  Groups whose control flow diverges across
     elements are split and retried, down to scalar runs.
 
-    With ``vector`` (default on), a batch whose execution partition the
-    classifier certifies (including point-to-point traffic with exact
-    group-level channel classes — see
-    :func:`repro.workloads.compile.classify_channels`) runs on the
-    quotient program — one interpreter rank per execution group shared
-    by *every point of the batch* — so a (B points × N nodes) sweep
-    costs (B × G) work.  A quotient batch whose control flow diverges
-    *across batch elements* splits directly (the per-rank batch would
-    diverge on the same lanes); one the classifier declines falls back
-    to the per-rank batch before any splitting.
+    Every batch runs on the quotient program — one interpreter rank per
+    execution group shared by *every point of the batch* — so a (B
+    points × N nodes) sweep costs (B × G) work.  When the partition
+    does not compress or the classifier declines its point-to-point
+    traffic (see :func:`repro.workloads.compile.classify_channels`),
+    the partition is the identity (G = N), exact by construction.
 
     ``stats``, when given, accumulates tier telemetry: points measured
-    per tier (``quotient_points`` / ``per_rank_points`` /
-    ``scalar_points``), bisection ``splits``, and a
-    ``fallback_reasons`` histogram of every quotient decline.
+    per tier (``quotient_points`` / ``scalar_points``), bisection
+    ``splits``, and a ``fallback_reasons`` histogram with one decline
+    code per batch attempt that did not run compressed: the identity
+    partition's reason, else the :class:`StraightlineUnsupported`
+    reason of a batch that diverged.
 
     Raises :class:`StraightlineUnsupported` (dynamic strategy) or
     :class:`~repro.workloads.compile.CompileError` like the scalar
@@ -3141,8 +3107,6 @@ def run_batch(
             transition_latency_s=transition_latency_s,
         )
 
-    quotient_able = vector and compiled.group_of is not None
-
     def evaluate(idxs: list[int]) -> None:
         if len(idxs) == 1:
             results[idxs[0]] = scalar(idxs[0])
@@ -3151,16 +3115,30 @@ def run_batch(
             batch_measure(idxs)
         except StraightlineUnsupported:
             # Divergent control flow: smaller batches share more of it.
+            # The identity partition interprets the same lanes, so it
+            # would decline the same way.
             _note("splits")
             mid = len(idxs) // 2
             evaluate(idxs[:mid])
             evaluate(idxs[mid:])
 
-    def batch_executor(prog, idxs: list[int], ranks) -> _BatchExecutor:
-        """A batch interpreter over ``prog``, whose rank ``q`` plays
-        ``ranks[q]``: per-rank (B,) start indices and gear targets."""
+    def batch_measure(idxs: list[int]) -> None:
+        """Quotient-program batch: (B, G) work for a (B, N) sweep.
+
+        The execution partition must hold for *every* point of the
+        batch at once (one quotient program serves the whole batch),
+        so body groups are refined by each rank's start index and
+        lowered actions across all points.  Per-group results broadcast
+        to member nodes exactly as in :func:`_run_grouped`.
+        """
+        plans = {id(lowered[i]): lowered[i] for i in idxs}.values()
+        part, reason = _vector_partition(
+            compiled, list(zip(*(p.labels() for p in plans)))
+        )
+        _note_reason(reason)
+        exec_of, members = part
         start_idx, gear_actions = [], []
-        for r in ranks:
+        for r in (m[0] for m in members):
             start_idx.append(np.array(
                 [lowered[i].start()[r] for i in idxs], dtype=np.intp
             ))
@@ -3169,38 +3147,18 @@ def run_batch(
                 (pos, np.array([row[a][1] for row in rows], dtype=np.intp))
                 for a, (pos, _t) in enumerate(rows[0])
             ])
-        return _BatchExecutor(
-            prog, cost, net, power, opoints, start_idx, gear_actions,
-            transition_latency_s, coll_n=workload.nprocs,
+        ex = _BatchExecutor(
+            _quotient_program(compiled, exec_of, members), cost, net, power,
+            opoints, start_idx, gear_actions, transition_latency_s,
+            coll_n=workload.nprocs,
         )
-
-    def grouped_batch(idxs: list[int]) -> bool:
-        """Quotient-program batch: (B, G) work for a (B, N) sweep.
-
-        The execution partition must hold for *every* point of the
-        batch at once (one quotient program serves the whole batch),
-        so body groups are refined by each rank's start index and
-        lowered actions across all points.  Per-group results broadcast
-        to member nodes exactly as the scalar grouped path.
-        """
-        plans = {id(lowered[i]): lowered[i] for i in idxs}.values()
-        part, reason = _vector_partition(
-            compiled, list(zip(*(p.labels() for p in plans)))
-        )
-        if part is None:
-            _note_reason(reason)
-            return False
-        exec_of, members = part
-        qprog = _quotient_program(compiled, exec_of, members)
-        ex = batch_executor(qprog, idxs, [m[0] for m in members])
-        t_end = ex.run()
-        energies_g, hists_g = ex.finalize(t_end)
-        counts = np.array([len(m) for m in members], dtype=np.int64)
-        trans_mat = np.stack(
-            [_gear_event_counts(nd, len(idxs)) for nd in ex.nodes]
-        )  # (G, B)
-        trans = counts @ trans_mat
-        e_nodes = np.array(energies_g)[exec_of]  # (N, B)
+        try:
+            t_end = ex.run()
+            trans, e_nodes, hists_g = _broadcast_groups(part, ex, t_end)
+        except StraightlineUnsupported as exc:
+            if reason is None:  # one decline code per batch attempt
+                _note_reason(getattr(exc, "reason", "unsupported"))
+            raise
         for k, i in enumerate(idxs):
             time_at = _merge_hists_nodewise(
                 workload.nprocs, members, [h[k] for h in hists_g]
@@ -3209,33 +3167,7 @@ def run_batch(
                 workload, points[i][0], t_end[k], e_nodes[:, k], time_at,
                 trans[k],
             )
-        return True
-
-    def batch_measure(idxs: list[int]) -> None:
-        if quotient_able:
-            try:
-                if grouped_batch(idxs):
-                    _note("quotient_points", len(idxs))
-                    return
-            except StraightlineUnsupported as exc:
-                _note_reason(getattr(exc, "reason", "unsupported"))
-                if getattr(exc, "reason", "") == "divergent_control":
-                    # The quotient lanes diverged across batch elements;
-                    # the per-rank batch interprets those same lanes, so
-                    # split right away instead of paying an N-rank
-                    # attempt that is all but certain to diverge too.
-                    raise
-                # Anything else: the per-rank batch may still hold.
-        ex = batch_executor(compiled, idxs, range(workload.nprocs))
-        t_end = ex.run()
-        energies, hists = ex.finalize(t_end)
-        e_nodes = np.array(energies)  # (N, B)
-        for k, i in enumerate(idxs):
-            results[i] = _measurement(
-                workload, points[i][0], t_end[k], e_nodes[:, k],
-                _fold_hists(h[k] for h in hists), ex.transitions[k],
-            )
-        _note("per_rank_points", len(idxs))
+        _note("quotient_points", len(idxs))
 
     for idxs in groups.values():
         evaluate(idxs)

@@ -404,15 +404,15 @@ class CompiledProgram:
     req_eager: np.ndarray
     req_match: np.ndarray
     coll_kinds: tuple[str, ...]  # kind per call-site seq
+    #: rank-equivalence classes: group id per rank / ranks per group.
+    group_of: np.ndarray
+    group_members: tuple[np.ndarray, ...]
     #: per-rank hook sites: ``(op position, "init"|"begin"|"end", phase)``
     #: in call order — op position is the index of the first op recorded
     #: *after* the hook fired (== the op count at the hook site).
     markers: tuple[tuple[tuple[int, str, str], ...], ...] = ()
     #: first global request id per rank (rank-local index offsets).
     req_base: Optional[np.ndarray] = None
-    #: rank-equivalence classes: group id per rank / ranks per group.
-    group_of: Optional[np.ndarray] = None
-    group_members: tuple[np.ndarray, ...] = ()
 
     @property
     def n_requests(self) -> int:
@@ -699,8 +699,6 @@ def classify_channels(
     if compiled.n_requests == 0:
         return ChannelClassification(exact=True, classes=(), n_lanes=0)
     if exec_of is None:
-        if compiled.group_of is None:
-            return _decline("p2p_unclassifiable")
         exec_of = [int(g) for g in compiled.group_of]
         members = [list(map(int, m)) for m in compiled.group_members]
     assert members is not None

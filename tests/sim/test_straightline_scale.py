@@ -29,13 +29,17 @@ from repro.core.strategies.external import ExternalStrategy
 from repro.core.strategies.internal import InternalStrategy, PhasePolicy
 from repro.experiments.parallel import ParallelRunner, RunTask
 from repro.experiments.store import MODEL_VERSION, cache_key
+from repro.hardware.network import NetworkParameters
 from repro.hardware.opoints import PENTIUM_M_TABLE
+from repro.hardware.power import NEMO_POWER
 from repro.sim.straightline import (
     _ACTIONS_CACHE,
     _ACTIONS_CACHE_CAP,
     _QUOTIENT_CACHE,
     _lower_gear_actions,
+    _measurement,
     _quotient_program,
+    _run_grouped,
     lowering_cache_counters,
     run_batch,
     run_straightline,
@@ -54,7 +58,7 @@ SYMMETRIC = ("EP", "FT")
 #: quotient runs CG on its two rank-halves.
 CLASSIFIED = ("CG",)
 #: p2p the classifier must decline (MG's xor-neighbor pairing crosses
-#: its sin-profile body groups): honest per-rank fallback.
+#: its sin-profile body groups): the identity partition, G = N.
 DECLINED = ("MG",)
 
 # Event-engine references get expensive with node count: two seeds
@@ -104,16 +108,84 @@ def test_vector_matches_event(code, nprocs, seeds, kind) -> None:
             assert info["groups"] == nprocs
 
 
+def identity_run(workload, strategy):
+    """``strategy`` on the identity partition: one rank per group."""
+    compiled = compile_workload(workload, PENTIUM_M_TABLE.fastest.frequency_hz)
+    actions = _lower_gear_actions(
+        compiled, strategy.gear_plan(workload), PENTIUM_M_TABLE
+    )
+    n = workload.nprocs
+    t_end, e_nodes, time_at, transitions = _run_grouped(
+        compiled, (list(range(n)), [[r] for r in range(n)]),
+        workload.cost_model(), NetworkParameters(), NEMO_POWER,
+        PENTIUM_M_TABLE, actions, 20e-6,
+    )
+    return _measurement(workload, strategy, t_end, e_nodes, time_at,
+                        transitions)
+
+
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", ["external", "internal"])
 def test_vector_matches_per_rank_scalar(code, kind) -> None:
-    # vector=False pins the pre-group per-rank path; the quotient run
-    # must be indistinguishable from it (they share the accumulator).
+    # The compressed quotient must be indistinguishable from the same
+    # run interpreting every rank (they share the accumulator).
     workload = make(code, 64)
     strategy = strategies(workload)[kind]
     fast = run_straightline(make(code, 64), strategy, seed=0)
-    slow = run_straightline(make(code, 64), strategy, seed=0, vector=False)
-    assert fast == slow
+    assert fast == identity_run(make(code, 64), strategy)
+
+
+#: batches that fall to the identity partition, by decline code.
+IDENTITY_CASES = {
+    # MG's channels do not classify over its body groups.
+    "p2p_unclassifiable": (
+        lambda: make("MG", 16),
+        [(ExternalStrategy(mhz=800.0), 0), (ExternalStrategy(mhz=800.0), 1)],
+    ),
+    # Per-rank start gears split FT's one body group into singletons.
+    "no_compression": (
+        lambda: make("FT", 4),
+        [(ExternalStrategy(per_node_mhz=[600.0, 800.0, 1000.0, 1400.0]), 0),
+         (ExternalStrategy(per_node_mhz=[600.0, 800.0, 1000.0, 1200.0]), 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(IDENTITY_CASES))
+def test_identity_partition_runs_declined_plans(reason) -> None:
+    make_workload, points = IDENTITY_CASES[reason]
+    n = make_workload().nprocs
+    scalar = []
+    for strategy, seed in points:
+        info: dict = {}
+        m = run_straightline(make_workload(), strategy, seed=seed, stats=info)
+        assert info["fallback_reason"] == reason
+        assert info["groups"] == n
+        assert m == run_workload(make_workload(), strategy, seed=seed,
+                                 engine="event")
+        scalar.append(m)
+    stats: dict = {}
+    batch = run_batch(make_workload(), points, stats=stats)
+    assert batch == scalar
+    assert stats["quotient_points"] == len(points)
+    assert stats.get("scalar_points", 0) == 0
+    assert "per_rank_points" not in stats
+    assert stats["fallback_reasons"] == {reason: 1}
+
+
+def test_diverged_identity_batch_records_one_decline_code() -> None:
+    # MG at two speeds: the identity batch diverges and splits.  The
+    # attempt records its partition code only, once; the halves are
+    # scalar runs.
+    points = [(ExternalStrategy(mhz=800.0), 0), (ExternalStrategy(mhz=1200.0), 0)]
+    stats: dict = {}
+    batch = run_batch(make("MG", 16), points, stats=stats)
+    assert stats["fallback_reasons"] == {"p2p_unclassifiable": 1}
+    assert stats["splits"] == 1
+    assert stats["scalar_points"] == 2
+    assert "quotient_points" not in stats
+    for (strategy, seed), measured in zip(points, batch):
+        assert measured == run_straightline(make("MG", 16), strategy, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -134,21 +206,25 @@ def grid(workload):
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
 @pytest.mark.parametrize("nprocs", [16, 64, 256])
 def test_batch_vector_matches_per_rank_batch(code, nprocs) -> None:
+    # Every point of the (B × G) batch equals its own scalar run.
     workload = make(code, nprocs)
     points = grid(workload)
-    vec = run_batch(make(code, nprocs), points, vector=True)
-    per_rank = run_batch(make(code, nprocs), points, vector=False)
-    assert vec == per_rank
+    batch = run_batch(make(code, nprocs), points)
+    for (strategy, seed), measured in zip(points, batch):
+        assert measured == run_straightline(
+            make(code, nprocs), strategy, seed=seed
+        )
 
 
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
 def test_batch_vector_matches_scalar(code) -> None:
+    # The batch against the event engine itself, at N=64.
     workload = make(code, 64)
     points = grid(workload)
     batch = run_batch(workload, points)
     for (strategy, seed), measured in zip(points, batch):
-        ref = run_straightline(make(code, 64), strategy, seed=seed,
-                               vector=False)
+        ref = run_workload(make(code, 64), strategy, seed=seed,
+                           engine="event")
         assert measured == ref
 
 
@@ -161,9 +237,10 @@ def test_batch_heterogeneous_start_points_refine_groups() -> None:
         (ExternalStrategy(per_node_mhz=per_node), 0),
         (ExternalStrategy(mhz=800.0), 0),
     ]
-    vec = run_batch(make("FT", 16), points, vector=True)
-    per_rank = run_batch(make("FT", 16), points, vector=False)
-    assert vec == per_rank
+    vec = run_batch(make("FT", 16), points)
+    for (strategy, seed), measured in zip(points, vec):
+        assert measured == run_workload(make("FT", 16), strategy, seed=seed,
+                                        engine="event")
     info: dict = {}
     m = run_straightline(
         make("FT", 16), ExternalStrategy(per_node_mhz=per_node), stats=info

@@ -15,8 +15,7 @@ lane reproduces all of them bit-for-bit.  The properties pinned here:
   keeps raising, now with the ``out_of_order_channel`` telemetry code.
 
 Every exactness claim is backed by a differential run: the quotient
-measurement must equal the per-rank straightline tier's (itself pinned
-against the event engine elsewhere) with ``==`` on raw floats.
+measurement must equal the event engine's with ``==`` on raw floats.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.framework import run_workload
 from repro.core.strategies.external import ExternalStrategy
 from repro.sim.straightline import (
     StraightlineUnsupported,
@@ -107,10 +107,10 @@ def class_keys(verdict):
     )
 
 
-def assert_quotient_matches_per_rank(workload, strategy) -> None:
+def assert_quotient_matches_event(workload, strategy) -> None:
     info: dict = {}
     fast = run_straightline(workload, strategy, stats=info)
-    slow = run_straightline(workload, strategy, vector=False)
+    slow = run_workload(workload, strategy, engine="event")
     assert fast == slow
     assert info["fallback_reason"] is None
     assert info["groups"] < workload.nprocs
@@ -141,7 +141,7 @@ def test_permuted_lanes_run_the_quotient_bit_for_bit(pairing) -> None:
     S = len(pairing)
     # Group-uniform but side-asymmetric gears: left slow, right fast.
     strategy = ExternalStrategy(per_node_mhz=[800.0] * S + [1400.0] * S)
-    assert_quotient_matches_per_rank(HaloWorkload(list(pairing)), strategy)
+    assert_quotient_matches_event(HaloWorkload(list(pairing)), strategy)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +176,8 @@ def test_channel_split_merge_is_invisible(s, rounds, nbytes) -> None:
     strategy = ExternalStrategy(mhz=800.0)
     m = run_straightline(merged, strategy)
     p = run_straightline(split, strategy)
-    assert_quotient_matches_per_rank(merged, strategy)
-    assert_quotient_matches_per_rank(split, strategy)
+    assert_quotient_matches_event(merged, strategy)
+    assert_quotient_matches_event(split, strategy)
     # Same bytes over the same lanes at the same speeds: same physics.
     assert m.elapsed_s == p.elapsed_s
     assert m.energy_j == p.energy_j
@@ -190,14 +190,15 @@ def test_zero_byte_channels_decline() -> None:
     verdict = classify(HaloWorkload([0, 1], zero_byte=True))
     assert not verdict.exact
     assert verdict.reason == "p2p_zero_byte"
-    # The run is still honest: per-rank fallback, same bits.
+    # The run is still honest: the identity partition, same bits.
     w = HaloWorkload([0, 1], zero_byte=True)
     info: dict = {}
     fast = run_straightline(w, ExternalStrategy(mhz=800.0), stats=info)
     assert info["fallback_reason"] == "p2p_zero_byte"
-    assert fast == run_straightline(
+    assert info["groups"] == w.nprocs
+    assert fast == run_workload(
         HaloWorkload([0, 1], zero_byte=True),
-        ExternalStrategy(mhz=800.0), vector=False,
+        ExternalStrategy(mhz=800.0), engine="event",
     )
 
 
