@@ -24,6 +24,7 @@ from collections import OrderedDict
 from collections.abc import Mapping as AbcMapping
 from collections.abc import Sequence as AbcSequence
 from collections.abc import Set as AbcSet
+from math import copysign
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Union
 
@@ -58,18 +59,16 @@ __all__ = [
 MODEL_VERSION = 1
 
 
-def measurement_to_dict(m: Measurement) -> dict[str, Any]:
-    """Serializable summary of one measurement (drops trace/report).
-
-    ``extras`` (JSON-safe by contract — e.g. the fault-degradation
-    counters) round-trips, so a cached faulty run keeps its report.
-    """
+def _summary_payload(
+    m: Measurement, per_node_field: str, per_node: Any
+) -> dict[str, Any]:
+    """The summary fields of ``m``, with ``per_node`` under ``per_node_field``."""
     payload = {
         "workload": m.workload,
         "strategy": m.strategy,
         "elapsed_s": m.elapsed_s,
         "energy_j": m.energy_j,
-        "per_node_energy_j": {str(k): v for k, v in m.per_node_energy_j.items()},
+        per_node_field: per_node,
         "dvs_transitions": m.dvs_transitions,
         "time_at_mhz": {str(k): v for k, v in m.time_at_mhz.items()},
         "acpi_energy_j": m.acpi_energy_j,
@@ -80,18 +79,124 @@ def measurement_to_dict(m: Measurement) -> dict[str, Any]:
     return payload
 
 
+def measurement_to_dict(m: Measurement) -> dict[str, Any]:
+    """Serializable summary of one measurement (drops trace/report).
+
+    This is the archive and wire format (``save_json``, CLI results,
+    the service protocol): per-node energies as a ``{"<node>": joules}``
+    dict.  ``extras`` (JSON-safe by contract — e.g. the
+    fault-degradation counters) round-trips, so a cached faulty run
+    keeps its report.
+    """
+    return _summary_payload(
+        m,
+        "per_node_energy_j",
+        {str(k): v for k, v in m.per_node_energy_j.items()},
+    )
+
+
+def _energy_runs(per_node: Mapping[int, float]) -> list[list]:
+    """``per_node`` as ``[first_node, count, joules]`` runs.
+
+    A run extends while node ids are consecutive and the values are
+    bit-equal, in the dict's iteration order (so decoding restores
+    it).  ``-0.0`` never joins a ``0.0`` run and NaN never extends one.
+    """
+    runs: list[list] = []
+    run: Optional[list] = None
+    next_node = value = None
+    for node, joules in per_node.items():
+        if (
+            node == next_node
+            and joules == value
+            and (joules or copysign(1.0, joules) == copysign(1.0, value))
+        ):
+            run[1] += 1
+        else:
+            run = [int(node), 1, float(joules)]
+            runs.append(run)
+            value = joules
+        next_node = node + 1
+    return runs
+
+
+def _number(x: Any) -> float:
+    """A JSON number as a float; anything else is a ``TypeError``."""
+    if type(x) is float:
+        return x
+    if type(x) is int:
+        return float(x)
+    raise TypeError(f"expected a number, got {type(x).__name__}")
+
+
+def _optional_number(x: Any) -> Optional[float]:
+    return None if x is None else _number(x)
+
+
+def _check(x: Any, kind: type) -> Any:
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise TypeError(f"expected {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _energies_from_runs(runs: Any) -> dict[int, float]:
+    """Decode :func:`_energy_runs` output, in run order."""
+    out: dict[int, float] = {}
+    total = 0
+    for run in _check(runs, list):
+        first, count, joules = _check(run, list)
+        if type(first) is not int or type(count) is not int:
+            raise TypeError("run node ids and counts must be ints")
+        if count < 1:
+            raise ValueError(f"run count must be >= 1, got {count}")
+        out.update(dict.fromkeys(range(first, first + count), _number(joules)))
+        total += count
+    if len(out) != total:
+        raise ValueError("a node id is repeated across runs")
+    return out
+
+
+def _energies_from_dict(per_node: Any) -> dict[int, float]:
+    """Decode the legacy ``{"<node>": joules}`` form, in node order.
+
+    JSON writers sort these keys as strings (``"0", "1", "10", …``);
+    every engine produces ascending node ids, so that order is restored.
+    """
+    return dict(
+        sorted(
+            (int(k), _number(v)) for k, v in _check(per_node, dict).items()
+        )
+    )
+
+
 def measurement_from_dict(data: Mapping[str, Any]) -> Measurement:
+    """Inverse of :func:`measurement_to_dict` and of the cache entry form.
+
+    Per-node energies may come as ``per_node_energy_runs`` (cache
+    entries) or as the ``per_node_energy_j`` dict (archives, wire
+    payloads, and cache entries written before the runs form).  Every
+    structural defect raises ``KeyError``, ``ValueError`` or
+    ``TypeError``, which the cache treats as a corrupt entry.
+    """
+    if "per_node_energy_runs" in data:
+        per_node = _energies_from_runs(data["per_node_energy_runs"])
+    else:
+        per_node = _energies_from_dict(data["per_node_energy_j"])
+    extras = data.get("extras")
     return Measurement(
-        workload=data["workload"],
-        strategy=data["strategy"],
-        elapsed_s=float(data["elapsed_s"]),
-        energy_j=float(data["energy_j"]),
-        per_node_energy_j={int(k): float(v) for k, v in data["per_node_energy_j"].items()},
-        dvs_transitions=int(data["dvs_transitions"]),
-        time_at_mhz={float(k): float(v) for k, v in data["time_at_mhz"].items()},
-        acpi_energy_j=data.get("acpi_energy_j"),
-        baytech_energy_j=data.get("baytech_energy_j"),
-        extras=dict(data.get("extras") or {}),
+        workload=_check(data["workload"], str),
+        strategy=_check(data["strategy"], str),
+        elapsed_s=_number(data["elapsed_s"]),
+        energy_j=_number(data["energy_j"]),
+        per_node_energy_j=per_node,
+        dvs_transitions=_check(data["dvs_transitions"], int),
+        time_at_mhz={
+            float(k): _number(v)
+            for k, v in _check(data["time_at_mhz"], dict).items()
+        },
+        acpi_energy_j=_optional_number(data.get("acpi_energy_j")),
+        baytech_energy_j=_optional_number(data.get("baytech_energy_j")),
+        extras={} if extras is None else dict(_check(extras, dict)),
     )
 
 
@@ -471,9 +576,16 @@ class MeasurementCache:
         """Store ``measurement`` under ``key`` (summary fields only)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "measurement": measurement_to_dict(measurement)}
+        payload = {
+            "key": key,
+            "measurement": _summary_payload(
+                measurement,
+                "per_node_energy_runs",
+                _energy_runs(measurement.per_node_energy_j),
+            ),
+        }
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
+        tmp.write_text(json.dumps(payload))
         tmp.replace(path)  # atomic vs concurrent writers of the same key
         self.stats.stores += 1
         self._remember(key, measurement)

@@ -8,6 +8,8 @@ in-process hot layer without re-parsing JSON — both visible in
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.framework import Measurement
@@ -38,11 +40,64 @@ KEY = "ab" + "0" * 62
 # ----------------------------------------------------------------------
 # corrupt-entry eviction
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "garbage",
-    ["{truncated", '{"key": "x"}', '{"measurement": "not a dict"}', ""],
-    ids=["bad-json", "missing-field", "wrong-type", "empty"],
-)
+_ENTRY = {
+    "workload": "FT.T.4",
+    "strategy": "test",
+    "elapsed_s": 1.25,
+    "energy_j": 100.0,
+    "per_node_energy_runs": [[0, 2, 50.0]],
+    "dvs_transitions": 3,
+    "time_at_mhz": {"1400.0": 2.5},
+    "acpi_energy_j": None,
+    "baytech_energy_j": None,
+}
+
+
+def _entry(drop: str = "", **fields) -> str:
+    """A well-formed entry with ``fields`` replaced and ``drop`` removed."""
+    measurement = {**_ENTRY, **fields}
+    measurement.pop(drop, None)
+    return json.dumps({"key": KEY, "measurement": measurement})
+
+
+def _legacy(per_node) -> str:
+    return _entry(drop="per_node_energy_runs", per_node_energy_j=per_node)
+
+
+_GARBAGE = {
+    "bad-json": "{truncated",
+    "missing-field": '{"key": "x"}',
+    "wrong-type": '{"measurement": "not a dict"}',
+    "empty": "",
+    "measurement-list": '{"measurement": []}',
+    # a field of the wrong JSON type
+    "legacy-per-node-list": _legacy([50.0, 50.0]),
+    "legacy-value-list": _legacy({"0": [50.0], "1": 50.0}),
+    "runs-dict": _entry(per_node_energy_runs={"0": 50.0}),
+    "workload-int": _entry(workload=4),
+    "elapsed-str": _entry(elapsed_s="1.25"),
+    "transitions-float": _entry(dvs_transitions=3.0),
+    "time-at-mhz-list": _entry(time_at_mhz=[[1400.0, 2.5]]),
+    "acpi-str": _entry(acpi_energy_j="12"),
+    "extras-list": _entry(extras=[1]),
+    "joules-str": _entry(per_node_energy_runs=[[0, 2, "50.0"]]),
+    # a run with the wrong arity (or not a list at all)
+    "run-short": _entry(per_node_energy_runs=[[0, 2]]),
+    "run-long": _entry(per_node_energy_runs=[[0, 2, 50.0, 1]]),
+    "run-str": _entry(per_node_energy_runs=["abc"]),
+    # non-int node id or count
+    "node-float": _entry(per_node_energy_runs=[[0.0, 2, 50.0]]),
+    "count-str": _entry(per_node_energy_runs=[[0, "2", 50.0]]),
+    "count-bool": _entry(per_node_energy_runs=[[0, True, 50.0]]),
+    # count < 1
+    "count-zero": _entry(per_node_energy_runs=[[0, 0, 50.0]]),
+    "count-negative": _entry(per_node_energy_runs=[[0, -1, 50.0]]),
+    # a node id repeated across runs
+    "node-repeated": _entry(per_node_energy_runs=[[0, 2, 50.0], [1, 1, 50.0]]),
+}
+
+
+@pytest.mark.parametrize("garbage", list(_GARBAGE.values()), ids=list(_GARBAGE))
 def test_corrupt_entry_is_evicted(tmp_path, garbage: str) -> None:
     cache = MeasurementCache(tmp_path)
     path = cache.put(KEY, _measurement())
