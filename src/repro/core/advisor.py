@@ -191,8 +191,8 @@ class ScheduleAdvisor:
         # Candidate evaluation is one grid through the current runner:
         # map_sweep batches the static candidates through the
         # straightline tiers (bit-identical to per-point run_workload)
-        # and memoizes each point, so concurrent advisors — the
-        # schedule-advisor service — share fills.
+        # and memoizes each point, so advisors sharing a runner share
+        # fills.
         from repro.experiments.parallel import RunTask, current_runner
 
         measured: dict[int, Measurement] = {}

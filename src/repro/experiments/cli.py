@@ -45,7 +45,6 @@ KNOWN = (
     "advise",
     "optimize",
     "report",
-    "serve",
     "all",
 )
 
@@ -128,42 +127,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also enter the computed optimal plan as an 'advise' candidate",
     )
-    service = parser.add_argument_group(
-        "serve", "options for the schedule-advisor service (docs/service.md)"
-    )
-    service.add_argument("--host", default="127.0.0.1")
-    service.add_argument(
-        "--port", type=int, default=8763, help="TCP port (0 picks a free one)"
-    )
-    service.add_argument(
-        "--window-ms",
-        type=float,
-        default=5.0,
-        help="admission batching window in milliseconds (default 5)",
-    )
-    service.add_argument(
-        "--max-queue",
-        type=int,
-        default=4096,
-        help="admission queue bound; beyond it requests get 'overloaded'",
-    )
-    service.add_argument(
-        "--tenant-inflight",
-        type=int,
-        default=64,
-        help="per-tenant in-flight request cap (default 64)",
-    )
-    service.add_argument(
-        "--tenant-qps",
-        type=float,
-        default=None,
-        help="per-tenant sustained queries/s cap (default unlimited)",
-    )
-    service.add_argument(
-        "--no-warm-cache",
-        action="store_true",
-        help="skip preloading the hot LRU from the cache directory",
-    )
     return parser
 
 
@@ -232,11 +195,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if "all" in targets:
         targets = [
             t for t in KNOWN
-            if t not in ("all", "ablations", "advise", "optimize", "report", "serve")
+            if t not in ("all", "ablations", "advise", "optimize", "report")
         ]
-    if "serve" in targets and len(targets) != 1:
-        print("serve runs forever and cannot be combined with other targets")
-        return 2
 
     from repro.experiments.store import default_cache_dir
 
@@ -254,29 +214,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         faults = parse_fault_spec(args.faults)
         if faults.active:
             print(f"[injecting faults: {faults.describe()}]")
-
-    if targets == ["serve"]:
-        from repro.service import ServiceConfig, TenantQuota, run_server
-
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            window_s=args.window_ms / 1000.0,
-            max_queue=args.max_queue,
-            quota=TenantQuota(
-                max_in_flight=args.tenant_inflight, qps=args.tenant_qps
-            ),
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            warm_cache=not args.no_warm_cache,
-            faults=faults,
-        )
-        print(
-            f"[schedule-advisor service on {config.host}:{config.port}; "
-            f"cache={config.cache_dir or 'off'}, jobs={config.jobs}]"
-        )
-        run_server(config)
-        return 0
 
     with ParallelRunner(
         jobs=args.jobs, cache_dir=cache_dir, faults=faults

@@ -35,18 +35,14 @@ Usage::
 from __future__ import annotations
 
 import contextlib
-import threading
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from repro.core.framework import Measurement, run_workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.store import MeasurementCache
 from repro.core.strategies.base import NoDvsStrategy, Strategy
 from repro.faults.spec import FaultSpec
 from repro.workloads.base import Workload
@@ -157,10 +153,7 @@ class ParallelRunner:
         pool overhead; ``None`` also means serial.
     cache_dir:
         Enable the on-disk measurement cache rooted here (shared
-        between runs and between the parallel workers' parent).  A
-        ready :class:`~repro.experiments.store.MeasurementCache` is
-        also accepted and used as-is (custom shard layout, pre-warmed
-        hot layer).
+        between runs and between the parallel workers' parent).
     memo:
         Keep an in-process memo of every cacheable result for this
         runner's lifetime, so e.g. a campaign simulates each workload's
@@ -184,7 +177,7 @@ class ParallelRunner:
     def __init__(
         self,
         jobs: Optional[int] = 1,
-        cache_dir: Union[str, Path, "MeasurementCache", None] = None,
+        cache_dir: Union[str, Path, None] = None,
         memo: bool = True,
         faults: Optional[FaultSpec] = None,
         task_retries: int = 1,
@@ -197,22 +190,12 @@ class ParallelRunner:
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive")
         self.jobs = max(1, int(jobs or 1))
-        # cache_dir also accepts a ready MeasurementCache, so callers
-        # with layout/warming opinions (the advisor service's sharded
-        # store) plug one in without a parallel constructor surface.
-        if isinstance(cache_dir, MeasurementCache):
-            self.cache: Optional[MeasurementCache] = cache_dir
-        else:
-            self.cache = MeasurementCache(cache_dir) if cache_dir is not None else None
+        self.cache = MeasurementCache(cache_dir) if cache_dir is not None else None
         self.faults = faults
         self.task_retries = task_retries
         self.task_timeout_s = task_timeout_s
         self._memo: Optional[dict[str, Measurement]] = {} if memo else None
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Serializes off-event-loop submissions (:meth:`amap_sweep`):
-        #: the runner's pool, memo and cache stats are not safe under
-        #: concurrent ``map*`` calls from multiple threads.
-        self.submit_lock = threading.Lock()
         self.stats = CacheStats()
 
     # -- lifecycle -----------------------------------------------------
@@ -314,26 +297,6 @@ class ParallelRunner:
                     measured[j] = m
             self._store(results, pending, duplicates, measured)
         return self._tally(results)
-
-    async def amap_sweep(
-        self, tasks: Sequence[RunTask], chunk_size: Optional[int] = None
-    ) -> list[Measurement]:
-        """:meth:`map_sweep` for asyncio callers (the advisor service).
-
-        The grid runs in a worker thread so the event loop stays
-        responsive while simulations execute, and concurrent coroutine
-        submissions are *serialized* on ``submit_lock`` — the runner's
-        process pool, memo dict and stats counters are shared mutable
-        state.  Results are exactly :meth:`map_sweep`'s: submission
-        order, bit-identical, individually cached.
-        """
-        import asyncio
-
-        def _locked() -> list[Measurement]:
-            with self.submit_lock:
-                return self.map_sweep(tasks, chunk_size)
-
-        return await asyncio.get_running_loop().run_in_executor(None, _locked)
 
     #: ``run_workload`` kwargs :func:`repro.sim.straightline.run_batch`
     #: understands (``engine``/``faults`` are dispatch-only and dropped).

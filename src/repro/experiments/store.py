@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import SweepResult
 
 __all__ = [
-    "MAX_SHARD_DEPTH",
     "MODEL_VERSION",
     "CacheStats",
     "MeasurementCache",
@@ -82,11 +81,10 @@ def _summary_payload(
 def measurement_to_dict(m: Measurement) -> dict[str, Any]:
     """Serializable summary of one measurement (drops trace/report).
 
-    This is the archive and wire format (``save_json``, CLI results,
-    the service protocol): per-node energies as a ``{"<node>": joules}``
-    dict.  ``extras`` (JSON-safe by contract — e.g. the
-    fault-degradation counters) round-trips, so a cached faulty run
-    keeps its report.
+    This is the archive format (``save_json``, CLI ``--json``
+    results): per-node energies as a ``{"<node>": joules}`` dict.
+    ``extras`` (JSON-safe by contract — e.g. the fault-degradation
+    counters) round-trips, so a cached faulty run keeps its report.
     """
     return _summary_payload(
         m,
@@ -173,8 +171,8 @@ def measurement_from_dict(data: Mapping[str, Any]) -> Measurement:
     """Inverse of :func:`measurement_to_dict` and of the cache entry form.
 
     Per-node energies may come as ``per_node_energy_runs`` (cache
-    entries) or as the ``per_node_energy_j`` dict (archives, wire
-    payloads, and cache entries written before the runs form).  Every
+    entries) or as the ``per_node_energy_j`` dict (archives and
+    cache entries written before the runs form).  Every
     structural defect raises ``KeyError``, ``ValueError`` or
     ``TypeError``, which the cache treats as a corrupt entry.
     """
@@ -455,29 +453,15 @@ class CacheStats:
         return base
 
 
-#: Deepest supported shard layout (``aa/bb/<key>.json``).  Reads probe
-#: every depth from 0 (flat) to this, so caches written at any
-#: historical layout stay readable by any store.
-MAX_SHARD_DEPTH = 2
+#: Parsed measurements the in-process hot layer holds (LRU).
+HOT_CAPACITY = 4096
 
 
 class MeasurementCache:
     """Content-addressed on-disk memoization of :class:`Measurement`.
 
     One JSON file per sweep point, named by its :func:`cache_key`, in
-    prefix fan-out directories.  ``shard_depth`` picks the canonical
-    layout: ``0`` is flat (``<key>.json`` directly under the root),
-    ``1`` (the default, and the historical layout) fans out by the
-    first key byte (``ab/<key>.json``), ``2`` adds a second level
-    (``ab/cd/<key>.json``) for service deployments where one warmed
-    cache directory holds millions of slots and per-directory entry
-    counts start to matter.  Lookups are *layout-agnostic*: a key
-    stored at any depth is found regardless of the store's own
-    ``shard_depth`` (canonical location first, then the legacy
-    layouts), so pointing a sharded store at a flat pre-sharding cache
-    just works.  Writes always land at the canonical depth, and
-    :meth:`rehome` migrates a whole directory in place.
-
+    fan-out directories by the first key byte (``ab/<key>.json``).
     Only measurement summaries are stored (never traces or reports),
     so a cached hit is bit-for-bit identical to a fresh uncached run
     for every summary field.
@@ -488,54 +472,25 @@ class MeasurementCache:
       a non-atomic filesystem, a bad disk block) is *unlinked* on first
       contact and counted in ``stats.evicted_corrupt``, so the slot
       re-simulates and re-stores once instead of re-failing every run;
-    * an in-process hot layer memoizes up to ``hot_capacity`` parsed
-      measurements (LRU), so the sweeps' refrain keys — every figure
-      re-reading the same no-DVS baselines — skip ``json.loads``.
+    * an in-process hot layer memoizes up to :data:`HOT_CAPACITY`
+      parsed measurements (LRU), so the sweeps' refrain keys — every
+      figure re-reading the same no-DVS baselines — skip ``json.loads``.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        hot_capacity: int = 4096,
-        shard_depth: int = 1,
-    ) -> None:
-        if hot_capacity < 0:
-            raise ValueError("hot_capacity must be >= 0")
-        if not 0 <= shard_depth <= MAX_SHARD_DEPTH:
-            raise ValueError(
-                f"shard_depth must be in [0, {MAX_SHARD_DEPTH}]"
-            )
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
-        self.hot_capacity = hot_capacity
-        self.shard_depth = shard_depth
         self._hot: "OrderedDict[str, Measurement]" = OrderedDict()
 
-    def _path_at(self, key: str, depth: int) -> Path:
-        path = self.root
-        for level in range(depth):
-            path = path / key[2 * level : 2 * level + 2]
-        return path / f"{key}.json"
-
     def _path(self, key: str) -> Path:
-        """Canonical location for ``key`` under this store's layout."""
-        return self._path_at(key, self.shard_depth)
-
-    def _probe_paths(self, key: str):
-        """Candidate locations: canonical first, then legacy layouts."""
-        yield self._path(key)
-        for depth in range(MAX_SHARD_DEPTH + 1):
-            if depth != self.shard_depth:
-                yield self._path_at(key, depth)
+        return self.root / key[:2] / f"{key}.json"
 
     def _remember(self, key: str, measurement: Measurement) -> None:
         hot = self._hot
-        if self.hot_capacity == 0:
-            return
         if key in hot:
             hot.move_to_end(key)
         hot[key] = measurement
-        while len(hot) > self.hot_capacity:
+        while len(hot) > HOT_CAPACITY:
             hot.popitem(last=False)
 
     def get(self, key: str) -> Optional[Measurement]:
@@ -546,31 +501,29 @@ class MeasurementCache:
             self.stats.hits += 1
             self.stats.hot_hits += 1
             return hot
-        for path in self._probe_paths(key):
+        path = self._path(key)
+        try:
+            text = path.read_text()
+        except OSError:
+            self.stats.misses += 1
+            return None
+        try:
+            measurement = measurement_from_dict(
+                json.loads(text)["measurement"]
+            )
+        except (ValueError, KeyError, TypeError):
+            # Corrupt/truncated entry: evict it so the slot heals with
+            # the next store instead of re-failing on every lookup.
             try:
-                text = path.read_text()
-            except OSError:
-                continue
-            try:
-                measurement = measurement_from_dict(
-                    json.loads(text)["measurement"]
-                )
-            except (ValueError, KeyError, TypeError):
-                # Corrupt/truncated entry: evict it so the slot heals
-                # with the next store instead of re-failing on every
-                # lookup.  Legacy-layout copies of the slot are probed
-                # next, so one bad file never shadows a good one.
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - concurrent eviction
-                    pass
-                self.stats.evicted_corrupt += 1
-                continue
-            self.stats.hits += 1
-            self._remember(key, measurement)
-            return measurement
-        self.stats.misses += 1
-        return None
+                path.unlink()
+            except OSError:  # pragma: no cover - concurrent eviction
+                pass
+            self.stats.evicted_corrupt += 1
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        self._remember(key, measurement)
+        return measurement
 
     def put(self, key: str, measurement: Measurement) -> Path:
         """Store ``measurement`` under ``key`` (summary fields only)."""
@@ -591,70 +544,10 @@ class MeasurementCache:
         self._remember(key, measurement)
         return path
 
-    @property
-    def hot_size(self) -> int:
-        """Entries currently held in the in-process hot layer."""
-        return len(self._hot)
-
     def entries(self) -> Iterator[Path]:
-        """Every on-disk entry, across all shard layouts."""
-        if not self.root.exists():
-            return
-        patterns = ["*.json"]
-        for _ in range(MAX_SHARD_DEPTH):
-            patterns.append("*/" + patterns[-1])
-        for pattern in patterns:
-            yield from self.root.glob(pattern)
-
-    def warm(self, limit: Optional[int] = None) -> int:
-        """Preload up to ``limit`` entries into the hot LRU.
-
-        A long-running service calls this once at startup so its first
-        tenants hit parsed measurements instead of paying a
-        ``json.loads`` each; warming never counts in ``stats`` (it is
-        not a lookup) and silently skips corrupt files (they stay for
-        :meth:`get` to evict and count).  Returns how many entries
-        were loaded.
-        """
-        budget = self.hot_capacity if limit is None else min(limit, self.hot_capacity)
-        loaded = 0
-        for path in self.entries():
-            if loaded >= budget:
-                break
-            try:
-                payload = json.loads(path.read_text())
-                key = payload["key"]
-                measurement = measurement_from_dict(payload["measurement"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            if key not in self._hot:
-                self._remember(key, measurement)
-                loaded += 1
-        return loaded
-
-    def rehome(self) -> int:
-        """Move every entry to this store's canonical shard layout.
-
-        Reading is layout-agnostic, so migration is optional — this
-        exists for deployments that want directory listings and entry
-        counts to stay balanced after switching ``shard_depth``.
-        Returns how many files moved; empty legacy shard directories
-        are pruned.
-        """
-        moved = 0
-        for path in list(self.entries()):
-            key = path.stem
-            target = self._path(key)
-            if path == target:
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            path.replace(target)
-            moved += 1
-            parent = path.parent
-            while parent != self.root and not any(parent.iterdir()):
-                parent.rmdir()
-                parent = parent.parent
-        return moved
+        """Every on-disk entry."""
+        if self.root.exists():
+            yield from self.root.glob("*/*.json")
 
     def clear(self) -> int:
         """Delete every cached entry; returns how many were removed."""

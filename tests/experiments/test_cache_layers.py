@@ -3,7 +3,8 @@
 The disk cache must heal itself when an entry is corrupt (unlink it,
 count it, re-simulate) and must serve repeated lookups from the
 in-process hot layer without re-parsing JSON — both visible in
-``CacheStats`` and the runner's rendered telemetry.
+``CacheStats`` and the runner's rendered telemetry.  The on-disk
+layout is pinned, so existing caches stay valid.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.framework import Measurement
 from repro.experiments.report import render_runner_stats
+from repro.experiments import store
 from repro.experiments.store import CacheStats, MeasurementCache
 
 
@@ -139,8 +141,9 @@ def test_disk_hit_then_hot_hit(tmp_path) -> None:
     assert cache.stats.hot_hits == 1
 
 
-def test_hot_layer_is_lru_bounded(tmp_path) -> None:
-    cache = MeasurementCache(tmp_path, hot_capacity=2)
+def test_hot_layer_is_lru_bounded(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(store, "HOT_CAPACITY", 2)
+    cache = MeasurementCache(tmp_path)
     keys = [f"{i:02d}" + "0" * 62 for i in range(3)]
     for key in keys:
         cache.put(key, _measurement())
@@ -151,23 +154,21 @@ def test_hot_layer_is_lru_bounded(tmp_path) -> None:
     assert cache.stats.hot_hits == 1
 
 
-def test_hot_capacity_zero_disables_layer(tmp_path) -> None:
-    cache = MeasurementCache(tmp_path, hot_capacity=0)
-    cache.put(KEY, _measurement())
-    assert cache.get(KEY) is not None
-    assert cache.stats.hot_hits == 0
-
-
-def test_negative_hot_capacity_rejected(tmp_path) -> None:
-    with pytest.raises(ValueError, match="hot_capacity"):
-        MeasurementCache(tmp_path, hot_capacity=-1)
-
-
 def test_clear_empties_hot_layer(tmp_path) -> None:
     cache = MeasurementCache(tmp_path)
     cache.put(KEY, _measurement())
     assert cache.clear() == 1
     assert cache.get(KEY) is None
+
+
+# ----------------------------------------------------------------------
+# on-disk layout
+# ----------------------------------------------------------------------
+def test_default_layout_is_the_historical_one(tmp_path) -> None:
+    # The store must keep writing ``ab/<key>.json`` — changing it would
+    # strand every existing cache.
+    path = MeasurementCache(tmp_path).put(KEY, _measurement())
+    assert path == tmp_path / KEY[:2] / f"{KEY}.json"
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["figNaN"])
 
+    def test_serve_is_not_a_target(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
 
 class TestOptimizeCli:
     def test_optimize_target(self, capsys):

@@ -201,12 +201,13 @@ def test_legacy_entry_is_a_hit_in_node_order(tmp_path):
     _assert_legacy(m)
 
 
-def test_legacy_entry_warms_the_hot_layer(tmp_path):
+def test_legacy_entry_is_served_hot_after_first_get(tmp_path):
     _write_legacy(tmp_path)
     cache = MeasurementCache(tmp_path)
-    assert cache.warm() == 1
+    _assert_legacy(cache.get(LEGACY_KEY))  # decoded from disk
+    assert cache.stats.hot_hits == 0
     _assert_legacy(cache.get(LEGACY_KEY))
-    assert cache.stats.hot_hits == 1
+    assert cache.stats.hits == 2 and cache.stats.hot_hits == 1
 
 
 # ----------------------------------------------------------------------
