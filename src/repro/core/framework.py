@@ -74,10 +74,9 @@ def straightline_ineligibility(
     """Why this run cannot use the straightline tier (``None`` = it can).
 
     The returned string is the fallback reason ``run_workload`` raises
-    for strict ``engine="straightline"`` requests; callers wiring their
-    own dispatch (the sweep batcher) use the ``None``/non-``None``
-    distinction.  Faults are checked before the gear plan so a fault
-    environment reports as such even when the strategy itself lowers.
+    for strict ``engine="straightline"`` requests.  Faults are checked
+    before the gear plan so a fault environment reports as such even
+    when the strategy itself lowers.
     """
     if cluster is not None:
         return "caller-supplied cluster"

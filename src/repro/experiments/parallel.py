@@ -307,7 +307,7 @@ class ParallelRunner:
 
     def _run_batches(
         self,
-        pending: Sequence[tuple[int, RunTask, Optional[str]]],
+        pending: list[tuple[int, RunTask, Optional[str]]],
         measured: list[Optional[Measurement]],
     ) -> list[int]:
         """Fill batch-evaluable misses into ``measured`` (by pending
@@ -328,9 +328,11 @@ class ParallelRunner:
         the stateful-controller straightline tier: control flow there
         is data-dependent, so there is nothing to vectorize, but one
         in-process call still beats pool dispatch by orders of
-        magnitude.  Points the tier declines at run time flow to the
-        pool path (whose ``engine="auto"`` reaches the event engine)
-        and count in ``stats.straightline_fallbacks``.
+        magnitude.  Points the tier declines at run time count in
+        ``stats.straightline_fallbacks`` and flow to the pool path with
+        their ``pending`` entry rewritten to ``engine="event"``, so the
+        tier is not tried twice; a strict ``engine="straightline"``
+        task keeps its engine and raises there.
         """
         from repro.sim.straightline import lowering_cache_counters
 
@@ -393,6 +395,14 @@ class ParallelRunner:
             if fast is None:
                 self.stats.straightline_fallbacks += 1
                 self.stats.count_fallback(info.get("fallback_reason"))
+                if task.kwargs.get("engine", "auto") == "auto":
+                    # Declined already: skip run_workload's second
+                    # straightline attempt (engine is not in the key).
+                    index, _, key = pending[j]
+                    pending[j] = (index, RunTask(
+                        task.workload, task.strategy, task.seed,
+                        {**task.kwargs, "engine": "event"},
+                    ), key)
                 leftover.append(j)
             else:
                 measured[j] = fast

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.framework import Measurement
 from repro.optimize.plan import OptimalPlanStrategy
@@ -43,6 +43,22 @@ __all__ = [
 #: relative slack on the hard constraint, absorbing float summation
 #: noise only — never a real schedule change.
 _EPS = 1e-9
+
+#: spaces up to this many plans are enumerated outright (the verified
+#: fallback); larger spaces run the frontier search.
+EXHAUSTIVE_LIMIT = 4096
+#: frontier plans (lowest energy first) seeding each coordinate-descent
+#: round.
+BEAM_WIDTH = 8
+#: frontier rounds before the search stops unconverged.
+MAX_ROUNDS = 32
+#: largest single ``run_batch`` call; bigger rounds split.
+BATCH_CAP = 512
+#: when ``gears ** groups`` is at most this, every per-group uniform
+#: plan (the whole EXTERNAL + split-INTERNAL family) is seeded outright,
+#: guaranteeing the winner is at least as good as any such hand-picked
+#: schedule.
+GROUP_SEED_LIMIT = 128
 
 
 @dataclass
@@ -162,12 +178,6 @@ def optimize_gear_plan(
     network_params=None,
     power=None,
     transition_latency_s: float = 20e-6,
-    exhaustive_limit: int = 4096,
-    beam_width: int = 8,
-    max_rounds: int = 32,
-    batch_cap: int = 512,
-    group_seed_limit: int = 128,
-    label: Optional[str] = None,
     stats=None,
 ) -> OptimizeResult:
     """Search per-group, per-phase gear plans under the delta constraint.
@@ -179,19 +189,6 @@ def optimize_gear_plan(
         ``elapsed <= (1 + delta) x baseline`` are eligible (baseline =
         the all-fastest plan, i.e. no-DVS).  The winner minimizes
         energy among eligible plans (ties break toward lower delay).
-    exhaustive_limit:
-        Spaces up to this many plans are enumerated outright (the
-        verified fallback); larger spaces run the frontier search.
-    beam_width:
-        How many frontier plans (lowest energy first) seed each
-        coordinate-descent round.
-    batch_cap:
-        Largest single ``run_batch`` call; bigger rounds split.
-    group_seed_limit:
-        When ``gears ** groups`` is at most this, every per-group
-        uniform plan (the whole EXTERNAL + split-INTERNAL family) is
-        seeded outright, guaranteeing the winner is at least as good
-        as any such hand-picked schedule.
     stats:
         A :class:`~repro.experiments.store.CacheStats` to receive the
         ``opt_*`` telemetry; defaults to the current runner's.
@@ -238,7 +235,7 @@ def optimize_gear_plan(
         table = [
             [mhzs[assignment[g * P + p]] for p in range(P)] for g in range(G)
         ]
-        return OptimalPlanStrategy(group_of, phases, table, label=label)
+        return OptimalPlanStrategy(group_of, phases, table)
 
     def evaluate(assignments: Sequence[tuple[int, ...]]) -> None:
         """Measure every unseen assignment into ``memo``.
@@ -261,8 +258,8 @@ def optimize_gear_plan(
                 telemetry.scalar_fallbacks += 1
             telemetry.candidates_evaluated += len(fresh)
             return
-        for lo in range(0, len(fresh), batch_cap):
-            chunk = fresh[lo : lo + batch_cap]
+        for lo in range(0, len(fresh), BATCH_CAP):
+            chunk = fresh[lo : lo + BATCH_CAP]
             strategies = [make_strategy(a) for a in chunk]
             telemetry.batches += 1
             telemetry.max_batch = max(telemetry.max_batch, len(chunk))
@@ -296,7 +293,7 @@ def optimize_gear_plan(
         feasible = m.elapsed_s <= cap * (1.0 + _EPS)
         return PlanCandidate(assignment, make_strategy(assignment), m, d, e, feasible)
 
-    if space_size <= exhaustive_limit:
+    if space_size <= EXHAUSTIVE_LIMIT:
         telemetry.exhaustive = True
         everything = [
             tuple(a) for a in itertools.product(range(K), repeat=n_cells)
@@ -304,11 +301,11 @@ def optimize_gear_plan(
         evaluate(everything)
         frontier = _prune([candidate(a) for a in everything])
     else:
-        evaluate(_seed_assignments(G, P, K, group_seed_limit))
+        evaluate(_seed_assignments(G, P, K, GROUP_SEED_LIMIT))
         frontier = _prune([candidate(a) for a in memo])
-        while telemetry.rounds < max_rounds:
+        while telemetry.rounds < MAX_ROUNDS:
             telemetry.rounds += 1
-            seeds = sorted(frontier, key=lambda c: c.energy_j)[:beam_width]
+            seeds = sorted(frontier, key=lambda c: c.energy_j)[:BEAM_WIDTH]
             neighbors = [
                 n
                 for c in seeds

@@ -2050,7 +2050,6 @@ class _BatchExecutor:
         self._coll_memo: dict = {}
         self._pvec_cache: dict = {}
         self._dirty = False
-        self._partial_gear = False
 
     # -- breakpoints ----------------------------------------------------
     def _emit(self, node, t, kind, payload=None, mask=None) -> None:
@@ -2112,10 +2111,6 @@ class _BatchExecutor:
             self._emit(node, t, _EV_TOUCH, None)
         changed = target != node.opi
         if bool(changed.any()):
-            if not bool(changed.all()):
-                # Heterogeneous change: the gear event applies to only
-                # part of the batch, so finalize needs per-event masks.
-                self._partial_gear = True
             base = np.maximum(node.stall_until, t)
             node.stall_until = np.where(
                 changed, base + self.transition_latency_s, node.stall_until
@@ -2563,12 +2558,7 @@ class _BatchExecutor:
                             "event order diverges across batch",
                             reason="divergent_control",
                         )
-            if self._partial_gear:
-                energy, node_hists = self._integrate_masked(node, events, t_end)
-            else:
-                energy, node_hists = self._integrate_matrix(
-                    node, events, T, t_end
-                )
+            energy, node_hists = self._integrate_matrix(node, events, T, t_end)
             energies.append(energy)
             hists.append(node_hists)
         return energies, hists
@@ -2576,15 +2566,17 @@ class _BatchExecutor:
     def _integrate_matrix(self, node, events, T, t_end):
         """Whole-event-list integration, one numpy pass per quantity.
 
-        Valid when every recorded gear event applies to the full batch
-        (no partial masks): the power-state machine is then shared and
-        only the operating point and each element's own end time vary
-        per element.  Exactness vs :meth:`_integrate_masked`: boundary
-        times are clamped to ``t_end`` so intervals past an element's
-        end contribute exact ``+0.0``; the energy fold is ``np.cumsum``
-        along the event axis — the same left-to-right sequential
-        additions as the per-event loop — and each histogram cell is
-        ``np.bincount``'s single in-order pass over the same addends.
+        The power-state machine is shared; only the operating point and
+        each element's own end time vary per element.  Exactness vs the
+        scalar per-event loop: boundary times are clamped to ``t_end``
+        so intervals past an element's end contribute exact ``+0.0``;
+        a gear event masked out of an element is no boundary there (its
+        time is replaced by the previous boundary, so the split interval
+        adds an exact ``+0.0`` and the next spans the whole gap); the
+        energy fold is ``np.cumsum`` along the event axis — the same
+        left-to-right sequential additions as the per-event loop — and
+        each histogram cell is ``np.bincount``'s single in-order pass
+        over the same addends.
         """
         np = self.np
         B = self.B
@@ -2681,14 +2673,18 @@ class _BatchExecutor:
         if m:
             BE[1:m + 1] = Te
         BE[m + 1] = t_end
-        C = P * (BE[1:] - BE[:-1])
-        energy = np.cumsum(C, axis=0)[-1]
-
         BH = np.empty((n_ev + 2, B))
         BH[0] = 0.0
         if n_ev:
             BH[1:n_ev + 1] = Tc
         BH[n_ev + 1] = t_end
+        for g_h, g_e, _payload in gears:
+            mask = events[g_h][4]
+            if not bool(mask.all()):
+                BE[g_e + 1] = np.where(mask, BE[g_e + 1], BE[g_e])
+                BH[g_h + 1] = np.where(mask, BH[g_h + 1], BH[g_h])
+        C = P * (BE[1:] - BE[:-1])
+        energy = np.cumsum(C, axis=0)[-1]
         DTh = BH[1:] - BH[:-1]
         node_hists = []
         if ROW is None:
@@ -2708,91 +2704,6 @@ class _BatchExecutor:
                     if v != 0.0:
                         hk[mm] = v
                 node_hists.append(hk)
-        return energy, node_hists
-
-    def _integrate_masked(self, node, events, t_end):
-        """Per-event integration with element masks (partial gear
-        changes present: some gear events apply to only part of the
-        batch, so the operating-point/histogram state must advance
-        under each event's own mask)."""
-        np = self.np
-        B = self.B
-        cols = np.arange(B)
-        idle = self.power.cpu_idle_activity
-        idle_key = (idle, 0.0, 0.0)
-        mhz_tab = self.mhz_tab
-        opi = node.start_opi
-        p_cur = self._power_vec(idle_key)[opi]
-        t_last_e = np.zeros(B)
-        t_last_t = np.zeros(B)
-        energy = np.zeros(B)
-        # Histogram: H[row, k] is element k's row-th distinct MHz.
-        row_maps: list[dict] = [{} for _ in range(B)]
-        start_mhz = mhz_tab[opi]
-        for k in range(B):
-            row_maps[k][float(start_mhz[k])] = 0
-        row_cur = np.zeros(B, dtype=np.intp)
-        H = np.zeros((1, B))
-        active = None
-        stack: list[tuple] = []
-        for t, seq, kind, payload, emask in events:
-            tm = t <= t_end
-            if emask is not None:
-                tm = tm & emask
-            dt = np.where(tm, t - t_last_t, 0.0)
-            H[row_cur, cols] += dt
-            t_last_t = np.where(tm, t, t_last_t)
-            if kind == _EV_TOUCH:
-                continue
-            dte = np.where(tm, t - t_last_e, 0.0)
-            energy = energy + p_cur * dte
-            t_last_e = np.where(tm, t, t_last_e)
-            if kind == _EV_START:
-                active = payload
-            elif kind == _EV_END:
-                active = None
-            elif kind == _EV_PUSH:
-                stack.append(payload)
-            elif kind == _EV_POP:
-                for j in range(len(stack) - 1, -1, -1):
-                    if stack[j] == payload:
-                        del stack[j]
-                        break
-            else:  # _EV_GEAR
-                opi = np.where(tm, payload, opi)
-                mhz_new = mhz_tab[payload]
-                n_rows = H.shape[0]
-                for k in np.nonzero(tm)[0]:
-                    m = float(mhz_new[k])
-                    rm = row_maps[k]
-                    rw = rm.get(m)
-                    if rw is None:
-                        rw = len(rm)
-                        rm[m] = rw
-                        if rw >= n_rows:
-                            H = np.vstack([H, np.zeros((1, B))])
-                            n_rows += 1
-                    row_cur[k] = rw
-            if active is not None:
-                key = (active[0], active[2], active[3])
-            elif stack:
-                top = stack[-1]
-                dyn = top[0] if top[0] > idle else idle
-                key = (dyn, top[2], top[3])
-            else:
-                key = idle_key
-            p_cur = np.where(tm, self._power_vec(key)[opi], p_cur)
-        dtf = t_end - t_last_t
-        H[row_cur, cols] += np.where(dtf > 0.0, dtf, 0.0)
-        energy = energy + p_cur * (t_end - t_last_e)
-        node_hists = []
-        for k in range(B):
-            hk = {}
-            for m, rw in row_maps[k].items():
-                v = H[rw, k]
-                if v != 0.0:
-                    hk[m] = float(v)
-            node_hists.append(hk)
         return energy, node_hists
 
 

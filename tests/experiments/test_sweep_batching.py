@@ -8,6 +8,8 @@ bit-for-bit identical to ``map``'s per-point path, and the cache keys
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.framework import run_workload
 from repro.core.strategies import (
     CpuspeedDaemonStrategy,
@@ -113,6 +115,41 @@ def test_sweep_classified_p2p_never_declines_on_classification() -> None:
     assert not any(r.startswith("p2p_") for r in runner.stats.fallback_reasons)
     assert runner.stats.straightline_fallbacks == 0
     assert runner.stats.batch_scalar_reruns == 0
+
+
+def test_declined_controller_point_simulates_once(monkeypatch) -> None:
+    # A controller point the straightline tier declines in map_sweep
+    # goes straight to the event engine: one straightline attempt per
+    # point, not a second one inside run_workload(engine="auto").
+    from repro.sim import straightline as sl
+
+    attempts: list[int] = []
+
+    def decline(workload, strategy, *, seed=0, stats=None, **kwargs):
+        attempts.append(seed)
+        if stats is not None:
+            stats["fallback_reason"] = "unsupported"
+        return None
+
+    monkeypatch.setattr(sl, "try_run_straightline", decline)
+    ft = get_workload("FT", klass="T", nprocs=4)
+    tasks = [RunTask(ft, CpuspeedDaemonStrategy(), seed) for seed in (0, 1)]
+    runner = ParallelRunner(jobs=1, memo=False)
+    swept = runner.map_sweep(tasks)
+    assert attempts == [0, 1]
+    assert runner.stats.straightline_fallbacks == 2
+    for task, m in zip(tasks, swept):
+        assert m == run_workload(ft, task.strategy, seed=task.seed,
+                                 engine="event")
+
+    # A strict straightline task still raises on the decline.
+    def refuse(*args, **kwargs):
+        raise sl.StraightlineUnsupported("declined for the test")
+
+    monkeypatch.setattr(sl, "run_straightline", refuse)
+    strict = RunTask(ft, CpuspeedDaemonStrategy(), 0, {"engine": "straightline"})
+    with pytest.raises(sl.StraightlineUnsupported):
+        ParallelRunner(jobs=1, memo=False).map_sweep([strict])
 
 
 def test_pre_pr_cache_keys_unchanged() -> None:

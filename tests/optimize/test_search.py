@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.framework import run_workload
 from repro.experiments.store import CacheStats
-from repro.optimize import OptimalPlanStrategy, optimize_gear_plan
+from repro.optimize import OptimalPlanStrategy, optimize_gear_plan, search
 from repro.workloads.npb.ft import FT
 
 from tests.optimize.conftest import TwoGroupWorkload
@@ -71,16 +71,16 @@ def test_exhaustive_matches_event_engine_brute_force(
     assert stats.opt_max_batch == res.telemetry.max_batch > 0
 
 
-def test_frontier_search_matches_exhaustive(two_group, three_gears) -> None:
+def test_frontier_search_matches_exhaustive(
+    two_group, three_gears, monkeypatch
+) -> None:
     exhaustive = optimize_gear_plan(
         two_group, delta=0.08, opoints=three_gears, stats=CacheStats()
     )
+    # force the frontier search on the same space
+    monkeypatch.setattr(search, "EXHAUSTIVE_LIMIT", 0)
     searched = optimize_gear_plan(
-        two_group,
-        delta=0.08,
-        opoints=three_gears,
-        exhaustive_limit=0,  # force the frontier search on the same space
-        stats=CacheStats(),
+        two_group, delta=0.08, opoints=three_gears, stats=CacheStats()
     )
     assert not searched.telemetry.exhaustive
     assert searched.telemetry.rounds >= 1
@@ -124,13 +124,15 @@ def test_returned_plan_never_violates_constraint(delta, exhaustive) -> None:
     opoints = OperatingPointTable(
         [PENTIUM_M_TABLE[0], PENTIUM_M_TABLE[2], PENTIUM_M_TABLE[4]]
     )
-    res = optimize_gear_plan(
-        TwoGroupWorkload(nprocs=4, steps=2),
-        delta=delta,
-        opoints=opoints,
-        exhaustive_limit=(4096 if exhaustive else 0),
-        stats=CacheStats(),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        if not exhaustive:
+            mp.setattr(search, "EXHAUSTIVE_LIMIT", 0)
+        res = optimize_gear_plan(
+            TwoGroupWorkload(nprocs=4, steps=2),
+            delta=delta,
+            opoints=opoints,
+            stats=CacheStats(),
+        )
     cap = (1 + delta) * res.baseline.elapsed_s
     assert res.best.elapsed_s <= cap * (1 + 1e-9)
     # delta=0 must still return a plan: the baseline itself is feasible
@@ -211,12 +213,9 @@ def test_uncompilable_workload_searches_per_rank(
         raise compile_mod.CompileError("declined for the test")
 
     monkeypatch.setattr(compile_mod, "compile_workload", refuse)
+    monkeypatch.setattr(search, "EXHAUSTIVE_LIMIT", 0)
     res = optimize_gear_plan(
-        two_group,
-        delta=0.08,
-        opoints=three_gears,
-        exhaustive_limit=0,
-        stats=CacheStats(),
+        two_group, delta=0.08, opoints=three_gears, stats=CacheStats()
     )
     assert res.n_groups == 4  # one group per rank: no quotient known
     assert res.telemetry.batches == 0

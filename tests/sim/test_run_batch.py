@@ -72,18 +72,22 @@ def test_mixed_shapes_one_call() -> None:
     assert_batch_matches_scalar(lambda: FT(klass="T", nprocs=4), points)
 
 
-def test_partial_gear_masks() -> None:
+def test_partially_masked_gear_events() -> None:
     # Grouping a plan whose gear call is a no-op (low == high: the
     # begin-phase call re-sets the current point) with one that really
     # shifts gears produces gear events masked to part of the batch —
-    # the masked integration path must still match scalar bits.
+    # the masked-out elements' integration must still match scalar bits.
     import repro.sim.straightline as sl
 
     executors = []
     orig = sl._BatchExecutor.finalize
 
     def spy(self, t_end):
-        executors.append(self._partial_gear)
+        executors.append(any(
+            ev[2] == sl._EV_GEAR and not ev[4].all()
+            for node in self.nodes
+            for ev in node.events
+        ))
         return orig(self, t_end)
 
     sl._BatchExecutor.finalize = spy
@@ -95,7 +99,52 @@ def test_partial_gear_masks() -> None:
         assert_batch_matches_scalar(lambda: FT(klass="T", nprocs=4), points)
     finally:
         sl._BatchExecutor.finalize = orig
-    assert True in executors  # the masked path actually ran
+    assert True in executors  # a partially masked gear event ran
+
+
+def test_masked_gear_event_is_no_boundary() -> None:
+    # An element a gear event is masked out of integrates as if the
+    # event were absent.  The event sits strictly between its
+    # neighbours, so splitting the interval there would round
+    # differently from the one whole-gap interval a lone run adds.
+    import numpy as np
+
+    import repro.sim.straightline as sl
+    from repro.hardware.network import NetworkParameters
+    from repro.hardware.opoints import PENTIUM_M_TABLE
+    from repro.hardware.power import NEMO_POWER
+    from repro.workloads.compile import compile_workload
+
+    workload = FT(klass="T", nprocs=4)
+    compiled = compile_workload(workload, PENTIUM_M_TABLE.fastest.frequency_hz)
+    seg = (1.0, 1.0, 0.0, 0.0)
+
+    def integrate(events):
+        B = len(events[0][0])
+        ex = sl._BatchExecutor(
+            compiled, workload.cost_model(), NetworkParameters(), NEMO_POWER,
+            PENTIUM_M_TABLE, [np.full(B, 2)] * 4, None, 20e-6,
+        )
+        T = np.stack([e[0] for e in events])
+        return ex._integrate_matrix(ex.nodes[0], events, T, np.full(B, 0.9))
+
+    def ev(times, seq, kind, payload=None, mask=None):
+        return (np.array(times), seq, kind, payload, mask)
+
+    batch = integrate([
+        ev([0.1, 0.1], 1, sl._EV_START, seg),
+        ev([0.2, 0.2], 2, sl._EV_GEAR, np.array([4, 2]),
+           np.array([True, False])),
+        ev([0.5, 0.5], 3, sl._EV_END),
+    ])
+    shifted = integrate([
+        ev([0.1], 1, sl._EV_START, seg),
+        ev([0.2], 2, sl._EV_GEAR, np.array([4]), np.array([True])),
+        ev([0.5], 3, sl._EV_END),
+    ])
+    lone = integrate([ev([0.1], 1, sl._EV_START, seg), ev([0.5], 3, sl._EV_END)])
+    assert batch[0][0] == shifted[0][0] and batch[1][0] == shifted[1][0]
+    assert batch[0][1] == lone[0][0] and batch[1][1] == lone[1][0]
 
 
 def test_none_strategy_is_nodvs() -> None:

@@ -40,6 +40,7 @@ from repro.sim.straightline import (
     _measurement,
     _quotient_program,
     _run_grouped,
+    _vector_partition,
     lowering_cache_counters,
     run_batch,
     run_straightline,
@@ -248,6 +249,67 @@ def test_batch_heterogeneous_start_points_refine_groups() -> None:
     assert m == vec[0]
     assert info["fallback_reason"] is None
     assert info["groups"] == 2
+
+
+# ----------------------------------------------------------------------
+# class C sweep grid: the partition each point would run on
+# ----------------------------------------------------------------------
+def sweep_grid(workload):
+    """10 EXTERNAL points (every gear × seeds 0, 1) and 4 INTERNAL
+    points that slow the first phase to each non-top gear."""
+    mhzs = PENTIUM_M_TABLE.frequencies_mhz()
+    points = [
+        (ExternalStrategy(mhz=mhz), seed) for mhz in mhzs for seed in (0, 1)
+    ]
+    points += [
+        (InternalStrategy(PhasePolicy({workload.phases[0]}, mhz, mhzs[-1])), 0)
+        for mhz in mhzs[:-1]
+    ]
+    return points
+
+
+def probe_partitions(workload, points):
+    """(fewest execution groups, decline-code histogram) over ``points``.
+
+    The tier's own partition decision (lowered actions refine the body
+    groups, then the channel classifier) without simulating a point.
+    """
+    compiled = compile_workload(workload, PENTIUM_M_TABLE.fastest.frequency_hz)
+    groups = workload.nprocs
+    reasons: dict[str, int] = {}
+    for strategy, _seed in points:
+        actions = _lower_gear_actions(
+            compiled, strategy.gear_plan(workload), PENTIUM_M_TABLE
+        )
+        part, reason = _vector_partition(compiled, actions.labels())
+        if reason is not None:
+            reasons[reason] = reasons.get(reason, 0) + 1
+        groups = min(groups, len(part[1]))
+    return groups, reasons
+
+
+@pytest.mark.parametrize("code", sorted(WORKLOADS))
+@pytest.mark.parametrize("nprocs", [16, 64])
+def test_class_c_grid_partitions(code, nprocs) -> None:
+    workload = WORKLOADS[code](klass="C", nprocs=nprocs)
+    groups, reasons = probe_partitions(workload, sweep_grid(workload))
+    if code in SYMMETRIC:
+        assert reasons == {}
+        assert groups < nprocs
+    elif code in CLASSIFIED:
+        assert reasons == {}
+        assert groups == 2
+    else:
+        assert set(reasons) == {"p2p_unclassifiable"}
+
+
+@pytest.mark.parametrize("nprocs", [16, 64])
+def test_class_c_cg_batch_keeps_channel_classes(nprocs) -> None:
+    workload = CG(klass="C", nprocs=nprocs)
+    stats: dict = {}
+    run_batch(workload, sweep_grid(workload), stats=stats)
+    reasons = stats.get("fallback_reasons", {})
+    assert not any(k.startswith("p2p_") for k in reasons), reasons
 
 
 # ----------------------------------------------------------------------
