@@ -73,10 +73,10 @@ def straightline_ineligibility(
 ) -> Optional[str]:
     """Why this run cannot use the straightline tier (``None`` = it can).
 
-    The returned string is the fallback reason ``run_workload`` raises
-    for strict ``engine="straightline"`` requests.  Faults are checked
-    before the gear plan so a fault environment reports as such even
-    when the strategy itself lowers.
+    ``run_workload(engine="auto")`` consults the fast tier only when
+    this is ``None``; the string says why the run goes straight to the
+    event engine.  Faults are checked before the gear plan so a fault
+    environment reports as such even when the strategy itself lowers.
     """
     if cluster is not None:
         return "caller-supplied cluster"
@@ -120,12 +120,14 @@ def run_workload(
         sampled controller (:meth:`Strategy.controller` non-``None``;
         the CPUSPEED, predictive, β and power-cap daemons), no
         faults/trace/channels, default cluster and hooks — and the
-        event engine otherwise; the tiers produce bit-for-bit
-        identical measurements on the supported subset.  A zero-rate
+        event engine otherwise, or when the fast tier declines the
+        run; the tiers produce bit-for-bit identical measurements on
+        the supported subset.  A zero-rate
         :class:`~repro.faults.spec.FaultSpec` (``is_noop()``) does not
         count as faults here: it provably injects nothing.
-        ``"event"`` forces the event engine; ``"straightline"`` forces
-        the fast tier and raises when the run is ineligible.
+        ``"event"`` forces the event engine; any other value raises
+        :class:`ValueError`.  To demand the fast tier, call
+        :func:`repro.sim.straightline.run_straightline` directly.
     faults:
         Optional fault environment (a
         :class:`~repro.faults.spec.FaultSpec`, or a ready injector to
@@ -155,54 +157,32 @@ def run_workload(
     # a cluster still carry the (inert) injector along.
     inert_faults = isinstance(faults, FaultSpec) and faults.is_noop()
 
-    if engine not in ("auto", "event", "straightline"):
+    if engine not in ("auto", "event"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine != "event":
-        reason = straightline_ineligibility(
+    if engine == "auto" and straightline_ineligibility(
+        workload,
+        strategy,
+        cluster=cluster,
+        trace=trace,
+        measurement_channels=measurement_channels,
+        extra_hooks=extra_hooks,
+        injector=None if inert_faults else injector,
+    ) is None:
+        # Imported lazily: the straightline tier sits on top of the
+        # workload/strategy layers and must not load with repro.sim.
+        from repro.sim.straightline import try_run_straightline
+
+        fast = try_run_straightline(
             workload,
             strategy,
-            cluster=cluster,
-            trace=trace,
-            measurement_channels=measurement_channels,
-            extra_hooks=extra_hooks,
-            injector=None if inert_faults else injector,
+            seed=seed,
+            network_params=network_params,
+            power=power,
+            opoints=opoints,
+            transition_latency_s=transition_latency_s,
         )
-        if reason is None:
-            # Imported lazily: the straightline tier sits on top of the
-            # workload/strategy layers and must not load with repro.sim.
-            from repro.sim.straightline import (
-                StraightlineUnsupported,
-                run_straightline,
-                try_run_straightline,
-            )
-
-            if engine == "straightline":
-                return run_straightline(
-                    workload,
-                    strategy,
-                    seed=seed,
-                    network_params=network_params,
-                    power=power,
-                    opoints=opoints,
-                    transition_latency_s=transition_latency_s,
-                )
-            fast = try_run_straightline(
-                workload,
-                strategy,
-                seed=seed,
-                network_params=network_params,
-                power=power,
-                opoints=opoints,
-                transition_latency_s=transition_latency_s,
-            )
-            if fast is not None:
-                return fast
-        elif engine == "straightline":
-            from repro.sim.straightline import StraightlineUnsupported
-
-            raise StraightlineUnsupported(
-                f"run configuration requires the event engine: {reason}"
-            )
+        if fast is not None:
+            return fast
 
     if cluster is None:
         env = Environment()

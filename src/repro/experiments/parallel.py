@@ -120,22 +120,15 @@ def _execute(task: RunTask) -> Measurement:
     return run_workload(task.workload, task.strategy, seed=task.seed, **task.kwargs)
 
 
-def _execute_traced(task: RunTask) -> Measurement:
-    """Pool entry point: convert any failure into a picklable
-    :class:`_WorkerError` so the parent sees the worker's traceback
-    instead of an opaque ``BrokenProcessPool``."""
-    try:
-        return _execute(task)
-    except Exception:
-        raise _WorkerError(traceback.format_exc()) from None
-
-
 def _execute_chunk_traced(chunk: Sequence[RunTask]) -> list[Measurement]:
-    """Pool entry point for :meth:`ParallelRunner.map_sweep` chunks.
+    """Pool entry point: measure a chunk of consecutive tasks.
 
-    One pool task measures a whole run of consecutive sweep points —
-    amortizing process dispatch and task pickling over many
-    (straightline-tier, microsecond-scale) simulations.
+    :meth:`ParallelRunner.map` submits chunks of one; ``map_sweep``
+    ships longer runs of sweep points, amortizing process dispatch and
+    task pickling over many (microsecond-scale) simulations.  Any
+    failure becomes a picklable :class:`_WorkerError`, so the parent
+    sees the worker's traceback instead of an opaque
+    ``BrokenProcessPool``.
     """
     try:
         return [_execute(t) for t in chunk]
@@ -237,10 +230,7 @@ class ParallelRunner:
         tasks = self._merge_faults(tasks)
         results, pending, duplicates = self._probe(tasks)
         if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                measured = self._map_pool([t for _, t, _ in pending])
-            else:
-                measured = [_execute(t) for _, t, _ in pending]
+            measured = self._measure([t for _, t, _ in pending])
             self._store(results, pending, duplicates, measured)
         return self._tally(results)
 
@@ -258,16 +248,15 @@ class ParallelRunner:
         default ``chunk_size`` splits the misses into about four chunks
         per worker (bounded to 32 points) so stragglers still balance.
 
-        Misses that qualify for the straightline tier are additionally
-        *batched*: same-workload same-configuration points run together
-        through :func:`repro.sim.straightline.run_batch` (inline — the
+        Gear-plan misses are additionally *batched*: same-workload
+        same-configuration points run together through
+        :func:`repro.sim.straightline.run_batch` (inline — the
         vectorized evaluation is far cheaper than pool dispatch), with
-        results still bit-for-bit identical to per-point runs.
-        Daemon-strategy misses with a sampled controller run inline
-        through the sampled-control tier, point by point.  Points
-        neither tier can take (other dynamic strategies, faults,
-        non-default clusters) flow through the chunked pool path
-        unchanged.
+        results still bit-for-bit identical to per-point runs; points
+        the fast tiers decline finish on the event engine inside that
+        call.  Every other miss (controller daemons, other dynamic
+        strategies, live faults, ``engine="event"``, non-tier kwargs)
+        takes :meth:`map`'s per-point path, chunked for the pool.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -277,26 +266,29 @@ class ParallelRunner:
             measured: list[Optional[Measurement]] = [None] * len(pending)
             leftover = self._run_batches(pending, measured)
             if leftover:
-                misses = [pending[j][1] for j in leftover]
-                if self.jobs > 1 and len(misses) > 1:
-                    if chunk_size is None:
-                        per_worker = -(-len(misses) // (self.jobs * 4))
-                        chunk_size = max(1, min(32, per_worker))
-                    chunks = [
-                        misses[i : i + chunk_size]
-                        for i in range(0, len(misses), chunk_size)
-                    ]
-                    pool_measured = [
-                        m
-                        for chunk in self._map_pool(chunks, fn=_execute_chunk_traced)
-                        for m in chunk
-                    ]
-                else:
-                    pool_measured = [_execute(t) for t in misses]
-                for j, m in zip(leftover, pool_measured):
+                if chunk_size is None:
+                    per_worker = -(-len(leftover) // (self.jobs * 4))
+                    chunk_size = max(1, min(32, per_worker))
+                fresh = self._measure(
+                    [pending[j][1] for j in leftover], chunk_size
+                )
+                for j, m in zip(leftover, fresh):
                     measured[j] = m
             self._store(results, pending, duplicates, measured)
         return self._tally(results)
+
+    def _measure(
+        self, tasks: Sequence[RunTask], chunk_size: int = 1
+    ) -> list[Measurement]:
+        """Per-point path: inline when serial or a single task, else
+        ``chunk_size`` consecutive tasks per pool task."""
+        if self.jobs > 1 and len(tasks) > 1:
+            chunks = [
+                tasks[i : i + chunk_size]
+                for i in range(0, len(tasks), chunk_size)
+            ]
+            return [m for chunk in self._map_pool(chunks) for m in chunk]
+        return [_execute(t) for t in tasks]
 
     #: ``run_workload`` kwargs :func:`repro.sim.straightline.run_batch`
     #: understands (``engine``/``faults`` are dispatch-only and dropped).
@@ -310,62 +302,41 @@ class ParallelRunner:
         pending: list[tuple[int, RunTask, Optional[str]]],
         measured: list[Optional[Measurement]],
     ) -> list[int]:
-        """Fill batch-evaluable misses into ``measured`` (by pending
-        position); returns the positions the pool path must still run.
+        """Fill gear-plan misses into ``measured`` (by pending
+        position); returns the positions the per-point path must run.
 
-        A miss is batchable when its kwargs are all straightline-tier
-        parameters, no live fault environment applies (``faults=None``
-        or a zero-rate spec), the engine isn't pinned to ``"event"``,
-        and the strategy lowers to a static gear plan.  Batches group by workload and configuration identity;
-        groups of one, and any group the batch tier rejects (divergent
-        control flow, unsupported plan), fall back to the per-point
-        path — which reproduces genuine errors through the event
-        engine exactly as before.
-
-        Misses whose strategy exposes a stateful sampled controller
-        instead of a gear plan (the CPUSPEED-style per-node daemons,
-        the β daemon, the power-cap coordinator) run *inline* through
-        the stateful-controller straightline tier: control flow there
-        is data-dependent, so there is nothing to vectorize, but one
-        in-process call still beats pool dispatch by orders of
-        magnitude.  Points the tier declines at run time count in
-        ``stats.straightline_fallbacks`` and flow to the pool path with
-        their ``pending`` entry rewritten to ``engine="event"``, so the
-        tier is not tried twice; a strict ``engine="straightline"``
-        task keeps its engine and raises there.
+        A miss goes to :func:`repro.sim.straightline.run_batch` when
+        its kwargs are all straightline-tier parameters, no live fault
+        environment applies (``faults=None`` or a zero-rate spec), the
+        engine is ``"auto"``, and the strategy lowers to a static gear
+        plan.  Misses group by workload and configuration identity,
+        whatever the group size.  ``run_batch`` measures every point it
+        is given — points its tiers decline run on the event engine
+        there and count in ``stats.straightline_fallbacks`` — so
+        nothing it was handed comes back here.
         """
-        from repro.sim.straightline import lowering_cache_counters
+        from repro.sim.straightline import lowering_cache_counters, run_batch
 
         lower_h0, lower_m0 = lowering_cache_counters()
         groups: dict[tuple, list[int]] = {}
         leftover: list[int] = []
-        sampled: list[int] = []
         for j, (_index, task, _key) in enumerate(pending):
             kw = task.kwargs
             faults = kw.get("faults")
             # A zero-rate spec injects nothing (bit-for-bit a clean
-            # run), so it doesn't force the pool/event path; its cache
-            # key is unaffected — engine selection only.
+            # run), so it doesn't force the event path; its cache key
+            # is unaffected — engine selection only.
             inert = faults is None or (
                 isinstance(faults, FaultSpec) and faults.is_noop()
             )
-            if (
-                not set(kw) <= self._BATCH_KWARGS
-                or kw.get("engine", "auto") == "event"
-                or not inert
+            strategy = task.strategy if task.strategy is not None else NoDvsStrategy()
+            if not (
+                set(kw) <= self._BATCH_KWARGS
+                and kw.get("engine", "auto") == "auto"
+                and inert
+                and strategy.gear_plan(task.workload) is not None
             ):
                 leftover.append(j)
-                continue
-            strategy = task.strategy if task.strategy is not None else NoDvsStrategy()
-            try:
-                plan = strategy.gear_plan(task.workload)
-            except Exception:
-                plan = None
-            if plan is None:
-                if strategy.controller() is not None:
-                    sampled.append(j)
-                else:
-                    leftover.append(j)
                 continue
             group = (
                 id(task.workload),
@@ -378,42 +349,7 @@ class ParallelRunner:
                 ),
             )
             groups.setdefault(group, []).append(j)
-        for j in sampled:
-            from repro.sim.straightline import try_run_straightline
-
-            task = pending[j][1]
-            run_kwargs = {
-                k: v
-                for k, v in task.kwargs.items()
-                if k not in ("engine", "faults")
-            }
-            info: dict = {}
-            fast = try_run_straightline(
-                task.workload, task.strategy, seed=task.seed, stats=info,
-                **run_kwargs
-            )
-            if fast is None:
-                self.stats.straightline_fallbacks += 1
-                self.stats.count_fallback(info.get("fallback_reason"))
-                if task.kwargs.get("engine", "auto") == "auto":
-                    # Declined already: skip run_workload's second
-                    # straightline attempt (engine is not in the key).
-                    index, _, key = pending[j]
-                    pending[j] = (index, RunTask(
-                        task.workload, task.strategy, task.seed,
-                        {**task.kwargs, "engine": "event"},
-                    ), key)
-                leftover.append(j)
-            else:
-                measured[j] = fast
-                self.stats.controller_runs += 1
-                self.stats.reduction_ticks += info.get("reduction_ticks", 0)
         for positions in groups.values():
-            if len(positions) < 2:
-                leftover.extend(positions)
-                continue
-            from repro.sim.straightline import run_batch
-
             first = pending[positions[0]][1]
             run_kwargs = {
                 k: v
@@ -423,38 +359,18 @@ class ParallelRunner:
             points = [
                 (pending[j][1].strategy, pending[j][1].seed) for j in positions
             ]
-            batch_info: dict = {}
-            try:
-                batch = run_batch(
-                    first.workload, points, stats=batch_info, **run_kwargs
-                )
-            except Exception as exc:
-                from repro.workloads.compile import CompileError
-
-                self.stats.batch_splits += 1
-                self.stats.batch_scalar_reruns += len(positions)
-                reason = getattr(exc, "reason", None) or (
-                    "compile_error" if isinstance(exc, CompileError)
-                    else "unsupported"
-                )
-                self.stats.count_fallback(reason)
-                leftover.extend(positions)
-                continue
-            finally:
-                # Quotient declines inside a successful batch (points
-                # re-run per-rank or split) surface per reason too.
-                for reason, n in batch_info.get(
-                    "fallback_reasons", {}
-                ).items():
-                    self.stats.count_fallback(reason, n)
+            info: dict = {}
+            batch = run_batch(first.workload, points, stats=info, **run_kwargs)
+            self.stats.straightline_fallbacks += info.get("event_points", 0)
+            for reason, n in info.get("fallback_reasons", {}).items():
+                self.stats.count_fallback(reason, n)
             for j, m in zip(positions, batch):
                 measured[j] = m
         # Gear-plan lowering reuse over this call (process-wide counter
-        # deltas: the in-process tiers above are the only lowerers here).
+        # deltas: run_batch is the only lowerer here).
         lower_h1, lower_m1 = lowering_cache_counters()
         self.stats.lowering_hits += lower_h1 - lower_h0
         self.stats.lowering_misses += lower_m1 - lower_m0
-        leftover.sort()
         return leftover
 
     # -- map/map_sweep shared prologue + epilogue ----------------------
@@ -550,24 +466,26 @@ class ParallelRunner:
         return results  # type: ignore[return-value]
 
     # -- pool execution with retry / timeout / failure surfacing -------
-    def _map_pool(self, tasks: Sequence, fn=_execute_traced) -> list:
-        """Run ``tasks`` through ``fn`` in the worker pool, in order.
+    def _map_pool(self, chunks: Sequence[Sequence[RunTask]]) -> list:
+        """Measure ``chunks`` of tasks in the worker pool, in order.
 
-        ``tasks`` items are either single :class:`RunTask`\\ s (with
-        ``fn=_execute_traced``) or chunks of them (``map_sweep``,
-        ``fn=_execute_chunk_traced``).  Worker-side exceptions surface
+        Each chunk is one pool task (:func:`_execute_chunk_traced`),
+        returning its list of measurements.  Worker-side exceptions surface
         as :class:`TaskFailedError` (task spec + worker traceback)
         instead of raw pool errors; a timed-out or pool-killing task
         gets the pool recycled and is retried up to ``task_retries``
         times.  Collateral tasks of a broken pool are re-run without
         spending one of their attempts.
         """
-        results: list = [None] * len(tasks)
-        attempts = [0] * len(tasks)
-        remaining = list(range(len(tasks)))
+        results: list = [None] * len(chunks)
+        attempts = [0] * len(chunks)
+        remaining = list(range(len(chunks)))
         while remaining:
             pool = self._ensure_pool()
-            futures = {i: pool.submit(fn, tasks[i]) for i in remaining}
+            futures = {
+                i: pool.submit(_execute_chunk_traced, chunks[i])
+                for i in remaining
+            }
             retry: list[int] = []
             broken = False
 
@@ -576,11 +494,10 @@ class ParallelRunner:
                 if attempts[i] > self.task_retries:
                     # Leave no half-broken pool behind the exception.
                     self._recycle_pool()
-                    item = tasks[i]
-                    if not isinstance(item, RunTask):  # a map_sweep chunk
-                        detail = f"(chunk of {len(item)} tasks) {detail}"
-                        item = item[0]
-                    raise TaskFailedError(item, attempts[i], detail)
+                    chunk = chunks[i]
+                    if len(chunk) > 1:
+                        detail = f"(chunk of {len(chunk)} tasks) {detail}"
+                    raise TaskFailedError(chunk[0], attempts[i], detail)
                 retry.append(i)
 
             for i in remaining:

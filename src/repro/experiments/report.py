@@ -259,15 +259,13 @@ def render_runner_stats(runner) -> str:
     """One-line sweep-engine summary for a :class:`ParallelRunner`.
 
     The runner's own counters (hits/misses and the ``map_sweep`` tier
-    telemetry: straightline fallbacks, batch splits, scalar re-runs,
-    gear-plan lowering-cache reuse) plus the disk cache's health
-    counters, which live on the cache's separate stats object
-    (hot-layer hits, corrupt entries evicted).
+    telemetry: event-engine fallbacks, their reasons, gear-plan
+    lowering-cache reuse) plus the disk cache's health counter, which
+    lives on the cache's separate stats object (corrupt entries
+    evicted).
     """
     line = runner.stats.render()
     cache = getattr(runner, "cache", None)
-    if cache is not None and (
-        cache.stats.hot_hits or cache.stats.evicted_corrupt
-    ):
+    if cache is not None and cache.stats.evicted_corrupt:
         line += f"\n  disk {cache.stats.render()}"
     return line

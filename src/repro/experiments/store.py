@@ -20,7 +20,6 @@ import hashlib
 import inspect
 import json
 import os
-from collections import OrderedDict
 from collections.abc import Mapping as AbcMapping
 from collections.abc import Sequence as AbcSequence
 from collections.abc import Set as AbcSet
@@ -361,20 +360,9 @@ class CacheStats:
     #: corrupt/truncated on-disk entries unlinked during ``get`` (each
     #: also counts as a miss — the point re-simulates and re-stores).
     evicted_corrupt: int = 0
-    #: hits served from the in-process hot layer (no ``json.loads``).
-    hot_hits: int = 0
-    #: ``map_sweep`` batch-tier telemetry: sweep points the straightline
-    #: tiers declined at run time (finished on the event engine), batch
-    #: groups the vectorized tier rejected, and how many points those
-    #: splits re-ran scalar.
+    #: ``map_sweep`` gear-plan points the straightline tiers declined
+    #: at run time (``run_batch`` finished them on the event engine).
     straightline_fallbacks: int = 0
-    batch_splits: int = 0
-    batch_scalar_reruns: int = 0
-    #: sweep points measured on the stateful-controller straightline
-    #: tier (daemon strategies run off the event heap), and the total
-    #: poll/reduction ticks those runs applied.
-    controller_runs: int = 0
-    reduction_ticks: int = 0
     #: gear-plan lowering cache reuse across the sweep: hits return a
     #: previously lowered (plan, opoints) action table; misses lower
     #: fresh (and may evict, the per-program table is LRU-bounded).
@@ -413,15 +401,12 @@ class CacheStats:
                 f"cache: {self.hits} hits / {self.misses} misses "
                 f"({rate:.0%} hit rate, {self.stores} stored)"
             )
-        if self.hot_hits:
-            base += f"; {self.hot_hits} served hot"
         if self.evicted_corrupt:
             base += f"; {self.evicted_corrupt} corrupt entries evicted"
-        if self.batch_splits or self.straightline_fallbacks:
+        if self.straightline_fallbacks:
             base += (
                 f"; tiers: {self.straightline_fallbacks} event-engine "
-                f"fallbacks, {self.batch_splits} batch splits "
-                f"({self.batch_scalar_reruns} points re-run scalar)"
+                "fallbacks"
             )
         if self.fallback_reasons:
             detail = ", ".join(
@@ -429,11 +414,6 @@ class CacheStats:
                 for reason, count in sorted(self.fallback_reasons.items())
             )
             base += f"; fallback reasons: {detail}"
-        if self.controller_runs:
-            base += (
-                f"; {self.controller_runs} stateful-controller runs "
-                f"({self.reduction_ticks} reduction ticks)"
-            )
         if self.lowering_hits or self.lowering_misses:
             base += (
                 f"; lowering: {self.lowering_hits} reused / "
@@ -453,10 +433,6 @@ class CacheStats:
         return base
 
 
-#: Parsed measurements the in-process hot layer holds (LRU).
-HOT_CAPACITY = 4096
-
-
 class MeasurementCache:
     """Content-addressed on-disk memoization of :class:`Measurement`.
 
@@ -466,41 +442,23 @@ class MeasurementCache:
     so a cached hit is bit-for-bit identical to a fresh uncached run
     for every summary field.
 
-    Two robustness/throughput layers on top of the flat files:
-
-    * a corrupt or truncated entry (a writer killed mid-``replace`` on
-      a non-atomic filesystem, a bad disk block) is *unlinked* on first
-      contact and counted in ``stats.evicted_corrupt``, so the slot
-      re-simulates and re-stores once instead of re-failing every run;
-    * an in-process hot layer memoizes up to :data:`HOT_CAPACITY`
-      parsed measurements (LRU), so the sweeps' refrain keys — every
-      figure re-reading the same no-DVS baselines — skip ``json.loads``.
+    A corrupt or truncated entry (a writer killed mid-``replace`` on a
+    non-atomic filesystem, a bad disk block) is *unlinked* on first
+    contact and counted in ``stats.evicted_corrupt``, so the slot
+    re-simulates and re-stores once instead of re-failing every run.
+    The cache keeps no in-process copies: a runner's ``memo`` answers
+    repeated keys before :meth:`get` is reached.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
-        self._hot: "OrderedDict[str, Measurement]" = OrderedDict()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _remember(self, key: str, measurement: Measurement) -> None:
-        hot = self._hot
-        if key in hot:
-            hot.move_to_end(key)
-        hot[key] = measurement
-        while len(hot) > HOT_CAPACITY:
-            hot.popitem(last=False)
-
     def get(self, key: str) -> Optional[Measurement]:
         """The cached measurement for ``key``, or None (counted)."""
-        hot = self._hot.get(key)
-        if hot is not None:
-            self._hot.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.hot_hits += 1
-            return hot
         path = self._path(key)
         try:
             text = path.read_text()
@@ -522,7 +480,6 @@ class MeasurementCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._remember(key, measurement)
         return measurement
 
     def put(self, key: str, measurement: Measurement) -> Path:
@@ -541,7 +498,6 @@ class MeasurementCache:
         tmp.write_text(json.dumps(payload))
         tmp.replace(path)  # atomic vs concurrent writers of the same key
         self.stats.stores += 1
-        self._remember(key, measurement)
         return path
 
     def entries(self) -> Iterator[Path]:
@@ -552,7 +508,6 @@ class MeasurementCache:
     def clear(self) -> int:
         """Delete every cached entry; returns how many were removed."""
         removed = 0
-        self._hot.clear()
         for path in self.entries():
             path.unlink(missing_ok=True)
             removed += 1

@@ -96,8 +96,10 @@ class SearchTelemetry:
     rounds: int = 0
     exhaustive: bool = False
     space_size: int = 0
-    #: candidates evaluated per point through the event engine because
-    #: the batch tier declined the workload (0 on every NPB shape).
+    #: candidates not scored in a batch: every candidate of a workload
+    #: whose p2p traffic does not classify (scored one per
+    #: ``run_batch`` call), plus batched candidates the fast tiers
+    #: declined onto the event engine (none on any NPB shape).
     scalar_fallbacks: int = 0
 
 
@@ -244,39 +246,29 @@ def optimize_gear_plan(
         p2p whose channel classes the compiler certifies exact (CG's
         halo exchange) — score in large ``run_batch`` calls: the B x G
         structure-of-arrays path, thousands of plans per second.
-        Workloads the classifier declines go per point through the
-        scalar straightline tier instead: their candidates diverge at
-        rank-specific waits, so a batch would just split itself back
-        to scalar with extra re-runs.
+        Workloads the classifier declines go per point, one
+        ``run_batch`` call each (its single-point straightline run):
+        their candidates diverge at rank-specific waits, so a batch
+        would just split itself back to single points with extra
+        re-runs.  Points the fast tiers decline are finished on the
+        event engine inside ``run_batch``.
         """
         fresh = [a for a in dict.fromkeys(assignments) if a not in memo]
-        if not batchable:
-            for a in fresh:
-                memo[a] = _measure_scalar(
-                    workload, make_strategy(a), seed, run_kwargs
-                )
-                telemetry.scalar_fallbacks += 1
-            telemetry.candidates_evaluated += len(fresh)
-            return
-        for lo in range(0, len(fresh), BATCH_CAP):
-            chunk = fresh[lo : lo + BATCH_CAP]
-            strategies = [make_strategy(a) for a in chunk]
-            telemetry.batches += 1
-            telemetry.max_batch = max(telemetry.max_batch, len(chunk))
-            try:
-                measured = run_batch(
-                    workload,
-                    [(s, seed) for s in strategies],
-                    **run_kwargs,
-                )
-            except Exception:
-                # The batch tier declined the whole workload at run
-                # time: measure per point instead.  Genuine plan errors
-                # resurface from the per-point path.
-                measured = [
-                    _measure_scalar(workload, s, seed, run_kwargs)
-                    for s in strategies
-                ]
+        size = BATCH_CAP if batchable else 1
+        for lo in range(0, len(fresh), size):
+            chunk = fresh[lo : lo + size]
+            info: dict = {}
+            measured = run_batch(
+                workload,
+                [(make_strategy(a), seed) for a in chunk],
+                stats=info,
+                **run_kwargs,
+            )
+            if batchable:
+                telemetry.batches += 1
+                telemetry.max_batch = max(telemetry.max_batch, len(chunk))
+                telemetry.scalar_fallbacks += info.get("event_points", 0)
+            else:
                 telemetry.scalar_fallbacks += len(chunk)
             for a, m in zip(chunk, measured):
                 memo[a] = m
@@ -340,18 +332,6 @@ def optimize_gear_plan(
         n_groups=G,
         telemetry=telemetry,
     )
-
-
-def _measure_scalar(workload, strategy, seed, run_kwargs) -> Measurement:
-    """One candidate on the scalar straightline tier (event-engine
-    fallback when even that declines)."""
-    from repro.core.framework import run_workload
-    from repro.sim.straightline import StraightlineUnsupported, run_straightline
-
-    try:
-        return run_straightline(workload, strategy, seed=seed, **run_kwargs)
-    except StraightlineUnsupported:
-        return run_workload(workload, strategy, seed=seed, **run_kwargs)
 
 
 def _rank_groups(

@@ -30,9 +30,9 @@ The replication contract (pinned by
 
 Anything whose timing the executor cannot order deterministically (a
 channel request arriving before one already granted, a rank-dependency
-cycle) raises :class:`StraightlineUnsupported`; ``run_workload`` falls
-back to the event engine, which also reproduces genuine program errors
-(deadlocks, mismatched collectives).
+cycle) raises :class:`StraightlineUnsupported`; ``run_workload`` and
+:func:`run_batch` fall back to the event engine, which also reproduces
+genuine program errors (deadlocks, mismatched collectives).
 """
 
 from __future__ import annotations
@@ -83,6 +83,17 @@ class StraightlineUnsupported(RuntimeError):
     def __init__(self, message: str, reason: str = "unsupported") -> None:
         super().__init__(message)
         self.reason = reason
+
+
+#: what a straightline tier raises when it declines a point.
+_DECLINES = (StraightlineUnsupported, CompileError)
+
+
+def _decline_reason(exc: Exception) -> str:
+    """The telemetry code of a decline in :data:`_DECLINES`."""
+    if isinstance(exc, CompileError):
+        return "compile_error"
+    return getattr(exc, "reason", "unsupported")
 
 
 # Event kinds in the per-node breakpoint list.
@@ -1121,7 +1132,7 @@ class _SampledExecutor(_Executor):
         #: memoized node_power_w per (opoint index, activity key) for
         #: ``observes="power"`` sampling.
         self._pow_memo: dict[tuple, float] = {}
-        #: applied poll/reduction ticks (runner telemetry).
+        #: applied poll/reduction ticks (``stats`` telemetry).
         self.reduction_ticks = 0
         self.horizon = interval
         self.max_index = opoints.max_index
@@ -1893,13 +1904,9 @@ def try_run_straightline(
             transition_latency_s=transition_latency_s,
             stats=stats,
         )
-    except StraightlineUnsupported as exc:
+    except _DECLINES as exc:
         if stats is not None:
-            stats["fallback_reason"] = getattr(exc, "reason", "unsupported")
-        return None
-    except CompileError:
-        if stats is not None:
-            stats["fallback_reason"] = "compile_error"
+            stats["fallback_reason"] = _decline_reason(exc)
         return None
 
 
@@ -2941,14 +2948,14 @@ def run_batch(
     """Measure many ``(strategy, seed)`` points of one workload at once.
 
     Returns one :class:`Measurement` per point, in input order, each
-    bit-for-bit equal to what :func:`run_straightline` (and therefore
-    the event engine) produces for that point.  Points whose gear plans
-    share the same action *shape* (the hook positions where calls fire)
-    are evaluated together by :class:`_BatchExecutor` as (B,) arrays;
-    the seed is accepted for signature parity but cannot influence a
+    bit-for-bit equal to what the event engine produces for that point.
+    Points whose gear plans share the same action *shape* (the hook
+    positions where calls fire) are evaluated together by
+    :class:`_BatchExecutor` as (B,) arrays; the seed cannot influence a
     straightline-eligible run (no fault injection, no jitter — nothing
     draws randomness).  Groups whose control flow diverges across
-    elements are split and retried, down to scalar runs.
+    elements are split and retried, down to single-point
+    :func:`run_straightline` runs.
 
     Every batch runs on the quotient program — one interpreter rank per
     execution group shared by *every point of the batch* — so a (B
@@ -2957,16 +2964,21 @@ def run_batch(
     traffic (see :func:`repro.workloads.compile.classify_channels`),
     the partition is the identity (G = N), exact by construction.
 
-    ``stats``, when given, accumulates tier telemetry: points measured
-    per tier (``quotient_points`` / ``scalar_points``), bisection
-    ``splits``, and a ``fallback_reasons`` histogram with one decline
-    code per batch attempt that did not run compressed: the identity
-    partition's reason, else the :class:`StraightlineUnsupported`
-    reason of a batch that diverged.
+    This is the one place a straightline decline is handled.  A point
+    is declined when compiling the workload, lowering its plan, a
+    missing plan (dynamic strategy) or its single-point run raises
+    :class:`StraightlineUnsupported` or
+    :class:`~repro.workloads.compile.CompileError`; it then runs once
+    on ``run_workload(..., engine="event")`` with this call's
+    configuration and its own seed.  A decline never raises; a genuine
+    error of the event engine does.
 
-    Raises :class:`StraightlineUnsupported` (dynamic strategy) or
-    :class:`~repro.workloads.compile.CompileError` like the scalar
-    entry point; callers fall back to the event engine per point.
+    ``stats``, when given, accumulates tier telemetry: points measured
+    per tier (``quotient_points`` / ``scalar_points`` /
+    ``event_points``), bisection ``splits``, and a ``fallback_reasons``
+    histogram with one code per declined point and per batch attempt
+    that did not run compressed (the identity partition's reason, else
+    the reason of a batch that diverged).
     """
     import numpy as np
 
@@ -2979,25 +2991,6 @@ def run_batch(
     opoints = PENTIUM_M_TABLE if opoints is None else opoints
     net = network_params if network_params is not None else NetworkParameters()
     points = [(s or NoDvsStrategy(), seed) for s, seed in points]
-    if not points:
-        return []
-    compiled = compile_workload(workload, opoints.fastest.frequency_hz)
-
-    groups: dict[tuple, list[int]] = {}
-    lowered: list[_LoweredPlan] = []
-    for i, (strat, _seed) in enumerate(points):
-        plan = strat.gear_plan(workload)
-        if plan is None:
-            raise StraightlineUnsupported(
-                "strategy has no static gear plan (dynamic DVS)",
-                reason="no_plan",
-            )
-        low = _lower_gear_actions(compiled, plan, opoints)
-        low.start()  # a bad setup table raises before anything runs
-        groups.setdefault(low.shape, []).append(i)
-        lowered.append(low)
-
-    cost = workload.cost_model()
     results: list = [None] * len(points)
 
     def _note(key: str, n: int = 1) -> None:
@@ -3009,18 +3002,63 @@ def run_batch(
             hist = stats.setdefault("fallback_reasons", {})
             hist[reason] = hist.get(reason, 0) + 1
 
-    def scalar(i: int):
-        _note("scalar_points")
+    def decline(i: int, exc: Exception) -> None:
+        from repro.core.framework import run_workload
+
+        _note("event_points")
+        _note_reason(_decline_reason(exc))
         strat, seed = points[i]
-        return run_straightline(
+        results[i] = run_workload(
             workload, strat, seed=seed, network_params=network_params,
             power=power, opoints=opoints,
-            transition_latency_s=transition_latency_s,
+            transition_latency_s=transition_latency_s, engine="event",
         )
+
+    if not points:
+        return results
+    try:
+        compiled = compile_workload(workload, opoints.fastest.frequency_hz)
+    except CompileError as exc:
+        for i in range(len(points)):
+            decline(i, exc)
+        return results
+
+    groups: dict[tuple, list[int]] = {}
+    lowered: list = [None] * len(points)
+    for i, (strat, _seed) in enumerate(points):
+        try:
+            plan = strat.gear_plan(workload)
+            if plan is None:
+                raise StraightlineUnsupported(
+                    "strategy has no static gear plan (dynamic DVS)",
+                    reason="no_plan",
+                )
+            low = _lower_gear_actions(compiled, plan, opoints)
+            low.start()  # a bad setup table declines before anything runs
+        except _DECLINES as exc:
+            decline(i, exc)
+            continue
+        groups.setdefault(low.shape, []).append(i)
+        lowered[i] = low
+
+    cost = workload.cost_model()
+
+    def scalar(i: int) -> None:
+        strat, seed = points[i]
+        try:
+            results[i] = run_straightline(
+                workload, strat, seed=seed, network_params=network_params,
+                power=power, opoints=opoints,
+                transition_latency_s=transition_latency_s,
+            )
+        except _DECLINES as exc:
+            decline(i, exc)
+            return
+        _note("scalar_points")
 
     def evaluate(idxs: list[int]) -> None:
         if len(idxs) == 1:
-            results[idxs[0]] = scalar(idxs[0])
+            scalar(idxs[0])
             return
         try:
             batch_measure(idxs)

@@ -14,6 +14,21 @@ def env() -> Environment:
 
 
 @pytest.fixture
+def event_engine_runs(monkeypatch) -> list:
+    """Every ``Environment.run`` call from here on (one per event-engine
+    simulation), so a test can tell which tier served its points."""
+    calls: list = []
+    real = Environment.run
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Environment, "run", spy)
+    return calls
+
+
+@pytest.fixture
 def cluster(env):
     """A 4-node NEMO-like cluster without batteries (fast)."""
     return nemo_cluster(env, 4, with_batteries=False)

@@ -3,11 +3,12 @@
 A strategy with neither a static gear plan nor a sampled controller
 (and any straightline-eligible strategy under a fault environment)
 must fall back to the event engine under ``engine="auto"`` — asserted
-through the ineligibility reason the framework consults — and raise
-:class:`StraightlineUnsupported` when the fast tier is demanded
-explicitly.  Strategies that *do* lower (the β daemon and power-cap
-coordinator via the stateful-controller protocol) are eligible in
-clean runs and fall back only at the fault/trace/channel boundaries.
+through the ineligibility reason the framework consults — and the
+fast tier itself (:func:`run_straightline`) declines the dynamic
+strategy with :class:`StraightlineUnsupported`.  Strategies that *do*
+lower (the β daemon and power-cap coordinator via the
+stateful-controller protocol) are eligible in clean runs and fall back
+only at the fault/trace/channel boundaries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.core.strategies import (
 from repro.core.strategies.base import Strategy
 from repro.faults.injector import resolve_injector
 from repro.faults.spec import FaultSpec
-from repro.sim.straightline import StraightlineUnsupported
+from repro.sim.engine import Environment
+from repro.sim.straightline import StraightlineUnsupported, run_straightline
 from repro.workloads.npb.ft import FT
 
 
@@ -67,9 +69,15 @@ def test_dynamic_strategy_auto_reaches_event_engine(monkeypatch) -> None:
 
 def test_dynamic_strategy_strict_raises() -> None:
     with pytest.raises(StraightlineUnsupported, match="no static gear plan"):
-        run_workload(
-            _workload(), _AdHocDynamicStrategy(), engine="straightline"
-        )
+        run_straightline(_workload(), _AdHocDynamicStrategy())
+
+
+@pytest.mark.parametrize("engine", ["straightline", "fast"])
+def test_unknown_engine_is_rejected(engine: str) -> None:
+    # "auto" and "event" are the only engines: demanding the fast tier
+    # means calling run_straightline, which raises on a decline.
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_workload(_workload(), engine=engine)
 
 
 def test_internal_with_faults_reason() -> None:
@@ -80,17 +88,6 @@ def test_internal_with_faults_reason() -> None:
     # ...but a fault environment forces the event engine.
     reason = straightline_ineligibility(_workload(), strategy, injector=injector)
     assert reason == "fault injection active"
-
-
-def test_internal_with_faults_strict_raises() -> None:
-    strategy = InternalStrategy(PhasePolicy({"alltoall"}, 600, 1400))
-    with pytest.raises(StraightlineUnsupported, match="fault injection active"):
-        run_workload(
-            _workload(),
-            strategy,
-            faults=FaultSpec(seed=5, transition_fail_rate=0.5),
-            engine="straightline",
-        )
 
 
 def test_internal_with_faults_auto_reaches_event_engine(monkeypatch) -> None:
@@ -156,17 +153,6 @@ def test_daemon_with_faults_auto_reaches_event_engine(
 
 
 @pytest.mark.parametrize("name", sorted(DAEMON_STRATEGIES))
-def test_daemon_with_faults_strict_raises(name: str) -> None:
-    with pytest.raises(StraightlineUnsupported, match="fault injection active"):
-        run_workload(
-            _workload(),
-            DAEMON_STRATEGIES[name](),
-            faults=FaultSpec(seed=5, transition_fail_rate=0.5),
-            engine="straightline",
-        )
-
-
-@pytest.mark.parametrize("name", sorted(DAEMON_STRATEGIES))
 def test_daemon_with_trace_reason(name: str) -> None:
     reason = straightline_ineligibility(
         _workload(), DAEMON_STRATEGIES[name](), trace=True
@@ -178,17 +164,20 @@ def test_daemon_with_trace_reason(name: str) -> None:
 # zero-rate fault specs: provably inert, so they don't pin the engine
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(DAEMON_STRATEGIES))
-def test_noop_faults_do_not_pin_engine(name: str) -> None:
-    # FaultSpec() has every rate at zero: is_noop() holds and a strict
-    # straightline request succeeds, bit-for-bit equal to a clean run.
+def test_noop_faults_do_not_pin_engine(name: str, monkeypatch) -> None:
+    # FaultSpec() has every rate at zero: is_noop() holds and the auto
+    # run stays on the fast tier (the event engine never runs),
+    # bit-for-bit equal to a clean straightline run.
     spec = FaultSpec(seed=99)
     assert spec.is_noop()
-    m = run_workload(
-        _workload(), DAEMON_STRATEGIES[name](), faults=spec, engine="straightline"
-    )
-    clean = run_workload(
-        _workload(), DAEMON_STRATEGIES[name](), engine="straightline"
-    )
+
+    def boom(*args, **kwargs):  # pragma: no cover - failure mode
+        raise AssertionError("event engine ran under a zero-rate spec")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Environment, "run", boom)
+        m = run_workload(_workload(), DAEMON_STRATEGIES[name](), faults=spec)
+    clean = run_straightline(_workload(), DAEMON_STRATEGIES[name]())
     assert m.elapsed_s == clean.elapsed_s
     assert m.energy_j == clean.energy_j
     assert m.extras == clean.extras == {}

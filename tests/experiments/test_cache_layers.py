@@ -1,10 +1,9 @@
-"""MeasurementCache robustness layers: corrupt eviction + hot LRU.
+"""MeasurementCache robustness: corrupt-entry eviction and telemetry.
 
 The disk cache must heal itself when an entry is corrupt (unlink it,
-count it, re-simulate) and must serve repeated lookups from the
-in-process hot layer without re-parsing JSON — both visible in
-``CacheStats`` and the runner's rendered telemetry.  The on-disk
-layout is pinned, so existing caches stay valid.
+count it, re-simulate), visibly in ``CacheStats`` and the runner's
+rendered telemetry.  The on-disk layout is pinned, so existing caches
+stay valid.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core.framework import Measurement
 from repro.experiments.report import render_runner_stats
-from repro.experiments import store
 from repro.experiments.store import CacheStats, MeasurementCache
 
 
@@ -104,7 +102,7 @@ def test_corrupt_entry_is_evicted(tmp_path, garbage: str) -> None:
     cache = MeasurementCache(tmp_path)
     path = cache.put(KEY, _measurement())
     path.write_text(garbage)
-    fresh = MeasurementCache(tmp_path)  # no hot layer for this key
+    fresh = MeasurementCache(tmp_path)
     assert fresh.get(KEY) is None
     assert fresh.stats.evicted_corrupt == 1
     assert fresh.stats.misses == 1
@@ -120,41 +118,7 @@ def test_missing_entry_is_a_plain_miss(tmp_path) -> None:
     assert cache.stats.evicted_corrupt == 0
 
 
-# ----------------------------------------------------------------------
-# the in-process hot layer
-# ----------------------------------------------------------------------
-def test_put_primes_hot_layer(tmp_path) -> None:
-    cache = MeasurementCache(tmp_path)
-    cache.put(KEY, _measurement())
-    m = cache.get(KEY)
-    assert m is not None
-    assert cache.stats.hot_hits == 1
-
-
-def test_disk_hit_then_hot_hit(tmp_path) -> None:
-    MeasurementCache(tmp_path).put(KEY, _measurement())
-    cache = MeasurementCache(tmp_path)
-    first = cache.get(KEY)   # disk read, then remembered
-    second = cache.get(KEY)  # served hot
-    assert first == second
-    assert cache.stats.hits == 2
-    assert cache.stats.hot_hits == 1
-
-
-def test_hot_layer_is_lru_bounded(tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(store, "HOT_CAPACITY", 2)
-    cache = MeasurementCache(tmp_path)
-    keys = [f"{i:02d}" + "0" * 62 for i in range(3)]
-    for key in keys:
-        cache.put(key, _measurement())
-    # The oldest key was evicted from the hot layer but not from disk.
-    assert cache.get(keys[0]) is not None
-    assert cache.stats.hot_hits == 0
-    assert cache.get(keys[2]) is not None
-    assert cache.stats.hot_hits == 1
-
-
-def test_clear_empties_hot_layer(tmp_path) -> None:
+def test_clear_removes_every_entry(tmp_path) -> None:
     cache = MeasurementCache(tmp_path)
     cache.put(KEY, _measurement())
     assert cache.clear() == 1
@@ -180,17 +144,11 @@ def test_stats_render_mentions_new_counters() -> None:
         misses=2,
         stores=2,
         evicted_corrupt=1,
-        hot_hits=3,
         straightline_fallbacks=2,
-        batch_splits=1,
-        batch_scalar_reruns=4,
     )
     text = stats.render()
-    assert "3 served hot" in text
     assert "1 corrupt entries evicted" in text
     assert "2 event-engine fallbacks" in text
-    assert "1 batch splits" in text
-    assert "4 points re-run scalar" in text
 
 
 def test_stats_render_lists_fallback_reasons() -> None:
@@ -222,7 +180,7 @@ def test_render_runner_stats_includes_disk_line(tmp_path) -> None:
     cache = MeasurementCache(tmp_path)
     quiet = render_runner_stats(FakeRunner(cache))
     assert "disk" not in quiet
-    cache.stats.hot_hits = 2
-    cache.stats.hits = 2
+    cache.stats.evicted_corrupt = 2
+    cache.stats.misses = 2
     loud = render_runner_stats(FakeRunner(cache))
-    assert "disk" in loud and "2 served hot" in loud
+    assert "disk" in loud and "2 corrupt entries evicted" in loud

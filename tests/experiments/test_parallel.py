@@ -218,16 +218,16 @@ def test_engine_tiers_share_cache_slot_and_payload():
     # identical serialized payload.
     from repro.core.framework import run_workload
     from repro.experiments.store import measurement_to_dict
+    from repro.sim.straightline import run_straightline
 
     workload = get_workload("CG", klass="T")
     strategy = ExternalStrategy(mhz=800.0)
     keys = {
         cache_key(workload, strategy, 0, kwargs)
-        for kwargs in ({}, {"engine": "event"}, {"engine": "straightline"},
-                       {"engine": "auto"})
+        for kwargs in ({}, {"engine": "event"}, {"engine": "auto"})
     }
     assert len(keys) == 1
-    fast = run_workload(workload, strategy, engine="straightline")
+    fast = run_straightline(workload, strategy)
     ref = run_workload(
         get_workload("CG", klass="T"), ExternalStrategy(mhz=800.0), engine="event"
     )

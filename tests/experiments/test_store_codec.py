@@ -201,15 +201,6 @@ def test_legacy_entry_is_a_hit_in_node_order(tmp_path):
     _assert_legacy(m)
 
 
-def test_legacy_entry_is_served_hot_after_first_get(tmp_path):
-    _write_legacy(tmp_path)
-    cache = MeasurementCache(tmp_path)
-    _assert_legacy(cache.get(LEGACY_KEY))  # decoded from disk
-    assert cache.stats.hot_hits == 0
-    _assert_legacy(cache.get(LEGACY_KEY))
-    assert cache.stats.hits == 2 and cache.stats.hot_hits == 1
-
-
 # ----------------------------------------------------------------------
 # cache hits vs fresh runs
 # ----------------------------------------------------------------------

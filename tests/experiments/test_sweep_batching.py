@@ -8,8 +8,6 @@ bit-for-bit identical to ``map``'s per-point path, and the cache keys
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.framework import run_workload
 from repro.core.strategies import (
     CpuspeedDaemonStrategy,
@@ -114,13 +112,14 @@ def test_sweep_classified_p2p_never_declines_on_classification() -> None:
     runner.map_sweep(tasks)
     assert not any(r.startswith("p2p_") for r in runner.stats.fallback_reasons)
     assert runner.stats.straightline_fallbacks == 0
-    assert runner.stats.batch_scalar_reruns == 0
 
 
-def test_declined_controller_point_simulates_once(monkeypatch) -> None:
+def test_declined_controller_point_simulates_once(
+    monkeypatch, event_engine_runs
+) -> None:
     # A controller point the straightline tier declines in map_sweep
-    # goes straight to the event engine: one straightline attempt per
-    # point, not a second one inside run_workload(engine="auto").
+    # goes straight to the event engine: one straightline attempt and
+    # one event-engine run per point.
     from repro.sim import straightline as sl
 
     attempts: list[int] = []
@@ -137,19 +136,72 @@ def test_declined_controller_point_simulates_once(monkeypatch) -> None:
     runner = ParallelRunner(jobs=1, memo=False)
     swept = runner.map_sweep(tasks)
     assert attempts == [0, 1]
-    assert runner.stats.straightline_fallbacks == 2
+    assert len(event_engine_runs) == 2
     for task, m in zip(tasks, swept):
         assert m == run_workload(ft, task.strategy, seed=task.seed,
                                  engine="event")
 
-    # A strict straightline task still raises on the decline.
-    def refuse(*args, **kwargs):
-        raise sl.StraightlineUnsupported("declined for the test")
 
-    monkeypatch.setattr(sl, "run_straightline", refuse)
-    strict = RunTask(ft, CpuspeedDaemonStrategy(), 0, {"engine": "straightline"})
-    with pytest.raises(sl.StraightlineUnsupported):
-        ParallelRunner(jobs=1, memo=False).map_sweep([strict])
+def test_declined_gear_plan_point_is_tried_once(
+    monkeypatch, event_engine_runs
+) -> None:
+    # MG's batch splits on divergent control down to a single 600 MHz
+    # point; when the fast tier refuses that point it runs once on the
+    # event engine inside run_batch, and the rest of the sweep stays on
+    # the fast tier.
+    from repro.sim import straightline as sl
+
+    real = sl.run_straightline
+    attempts: list[float] = []
+
+    def refuse_600(workload, strategy=None, **kwargs):
+        attempts.append(strategy.mhz)
+        if strategy.mhz == 600.0:
+            raise sl.StraightlineUnsupported("refused for the test")
+        return real(workload, strategy, **kwargs)
+
+    monkeypatch.setattr(sl, "run_straightline", refuse_600)
+    mg = get_workload("MG", klass="T", nprocs=8)
+    tasks = [
+        RunTask(mg, ExternalStrategy(mhz=mhz), 0)
+        for mhz in (600.0, 1000.0, 1400.0)
+    ]
+    runner = ParallelRunner(jobs=1, memo=False)
+    swept = runner.map_sweep(tasks)
+    assert attempts.count(600.0) == 1
+    assert len(event_engine_runs) == 1
+    assert runner.stats.straightline_fallbacks == 1
+    assert runner.stats.fallback_reasons["unsupported"] == 1
+    for task, m in zip(tasks, swept):
+        assert m == run_workload(mg, task.strategy, engine="event")
+
+
+def test_uncompilable_sweep_compiles_once(monkeypatch) -> None:
+    # A workload the compiler refuses: run_batch tries the compiler
+    # once for the whole group and finishes every point on the event
+    # engine, each counted once.
+    from repro.sim import straightline as sl
+    from repro.workloads.compile import CompileError
+
+    compiles: list = []
+
+    def refuse(workload, hz):
+        compiles.append(workload)
+        raise CompileError("refused for the test")
+
+    monkeypatch.setattr(sl, "compile_workload", refuse)
+    ft = get_workload("FT", klass="T", nprocs=4)
+    tasks = [
+        RunTask(ft, ExternalStrategy(mhz=mhz), 0)
+        for mhz in (600.0, 1000.0, 1400.0)
+    ]
+    runner = ParallelRunner(jobs=1, memo=False)
+    swept = runner.map_sweep(tasks)
+    assert len(compiles) == 1
+    assert runner.stats.straightline_fallbacks == 3
+    assert runner.stats.fallback_reasons == {"compile_error": 3}
+    for task, m in zip(tasks, swept):
+        assert m == run_workload(ft, task.strategy, engine="event")
 
 
 def test_pre_pr_cache_keys_unchanged() -> None:

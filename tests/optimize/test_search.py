@@ -206,13 +206,17 @@ def test_uncompilable_workload_searches_per_rank(
     two_group, three_gears, monkeypatch
 ) -> None:
     """A workload the compiler declines still optimizes — one group per
-    rank, scored per point — and reports the scalar fallback."""
+    rank, scored per point on the event engine — and reports the scalar
+    fallback.  Both the search's probe and the straightline tier see
+    the refusal."""
+    from repro.sim import straightline as sl
     from repro.workloads import compile as compile_mod
 
     def refuse(workload, hz):
         raise compile_mod.CompileError("declined for the test")
 
     monkeypatch.setattr(compile_mod, "compile_workload", refuse)
+    monkeypatch.setattr(sl, "compile_workload", refuse)
     monkeypatch.setattr(search, "EXHAUSTIVE_LIMIT", 0)
     res = optimize_gear_plan(
         two_group, delta=0.08, opoints=three_gears, stats=CacheStats()
@@ -222,25 +226,6 @@ def test_uncompilable_workload_searches_per_rank(
     assert res.telemetry.scalar_fallbacks == res.telemetry.candidates_evaluated
     cap = 1.08 * res.baseline.elapsed_s
     assert res.best.elapsed_s <= cap * (1 + 1e-9)
-
-
-def test_batch_decline_falls_back_per_point(
-    two_group, three_gears, monkeypatch
-) -> None:
-    """If run_batch raises at scoring time the search degrades to
-    per-point scoring instead of failing."""
-    from repro.sim import straightline as sl
-
-    def explode(workload, points, **kwargs):
-        raise sl.StraightlineUnsupported("batch refused for the test")
-
-    monkeypatch.setattr(sl, "run_batch", explode)
-    res = optimize_gear_plan(
-        two_group, delta=0.08, opoints=three_gears, stats=CacheStats()
-    )
-    assert res.telemetry.scalar_fallbacks == res.telemetry.candidates_evaluated
-    expected, _ = brute_force(two_group, 0.08, three_gears)
-    assert res.best.energy_j == expected.energy_j
 
 
 def test_rejects_phase_free_workloads(three_gears) -> None:

@@ -7,8 +7,7 @@ straightline run (and therefore to the event engine).
 
 from __future__ import annotations
 
-import pytest
-
+from repro.core.framework import run_workload
 from repro.core.strategies.base import NoDvsStrategy
 from repro.core.strategies.cpuspeed import CpuspeedDaemonStrategy
 from repro.core.strategies.external import ExternalStrategy
@@ -18,7 +17,6 @@ from repro.core.strategies.internal import (
     RankPolicy,
 )
 from repro.sim.straightline import (
-    StraightlineUnsupported,
     run_batch,
     run_straightline,
 )
@@ -154,12 +152,24 @@ def test_none_strategy_is_nodvs() -> None:
     assert batch[0] == ref
 
 
-def test_dynamic_strategy_raises() -> None:
-    with pytest.raises(StraightlineUnsupported):
-        run_batch(
-            FT(klass="T", nprocs=4),
-            [(ExternalStrategy(mhz=800.0), 0), (CpuspeedDaemonStrategy(), 0)],
-        )
+def test_dynamic_strategy_point_runs_on_event_engine() -> None:
+    # A point without a gear plan is declined, not raised: it runs on
+    # the event engine while the rest of the call stays on the tier.
+    stats: dict = {}
+    batch = run_batch(
+        FT(klass="T", nprocs=4),
+        [(ExternalStrategy(mhz=800.0), 0), (CpuspeedDaemonStrategy(), 1)],
+        stats=stats,
+    )
+    assert batch[0] == run_straightline(
+        FT(klass="T", nprocs=4), ExternalStrategy(mhz=800.0)
+    )
+    assert batch[1] == run_workload(
+        FT(klass="T", nprocs=4), CpuspeedDaemonStrategy(), seed=1,
+        engine="event",
+    )
+    assert stats["event_points"] == 1
+    assert stats["fallback_reasons"] == {"no_plan": 1}
 
 
 def test_single_point_batch() -> None:

@@ -15,7 +15,11 @@ from repro.core.strategies.base import NoDvsStrategy
 from repro.core.strategies.cpuspeed import CpuspeedDaemonStrategy
 from repro.core.strategies.external import ExternalStrategy
 from repro.faults.spec import FaultSpec
-from repro.sim.straightline import StraightlineUnsupported, try_run_straightline
+from repro.sim.straightline import (
+    StraightlineUnsupported,
+    run_straightline,
+    try_run_straightline,
+)
 from repro.workloads.compile import CompileError, compile_workload
 from repro.workloads.microbench import CommBound, DiskBound
 from repro.workloads.npb.cg import CG
@@ -56,9 +60,7 @@ def run_both(workload_factory, strategy_factory, seed: int = 0):
     ref = run_workload(
         workload_factory(), strategy_factory(), seed=seed, engine="event"
     )
-    fast = run_workload(
-        workload_factory(), strategy_factory(), seed=seed, engine="straightline"
-    )
+    fast = run_straightline(workload_factory(), strategy_factory(), seed=seed)
     return fast, ref
 
 
@@ -150,50 +152,53 @@ def test_auto_equals_event() -> None:
 # ----------------------------------------------------------------------
 # fallback triggers: these configurations must run on the event engine
 # ----------------------------------------------------------------------
-def _strict_raises(**kwargs) -> None:
-    with pytest.raises(StraightlineUnsupported):
-        run_workload(
+def _event_only(monkeypatch, **kwargs):
+    """``run_workload(engine="auto")`` on CG with the fast tier poisoned:
+    the configuration must never consult it."""
+    import repro.sim.straightline as sl
+
+    def boom(*args, **kw):  # pragma: no cover - failure mode
+        raise AssertionError("straightline tier consulted")
+
+    with monkeypatch.context() as m:
+        m.setattr(sl, "try_run_straightline", boom)
+        m.setattr(sl, "run_straightline", boom)
+        return run_workload(
             WORKLOADS["CG"](), kwargs.pop("strategy", ExternalStrategy(mhz=800.0)),
-            engine="straightline", **kwargs,
+            **kwargs,
         )
 
 
-def test_faults_fall_back() -> None:
-    spec = FaultSpec(transition_fail_rate=0.5)
-    _strict_raises(faults=spec)
-    # auto still works (event tier) and reports like a normal run
-    m = run_workload(WORKLOADS["CG"](), ExternalStrategy(mhz=800.0), faults=spec)
-    assert m.elapsed_s > 0
+def test_faults_fall_back(monkeypatch) -> None:
+    m = _event_only(monkeypatch, faults=FaultSpec(transition_fail_rate=0.5))
+    assert m.elapsed_s > 0  # event tier, reports like a normal run
 
 
-def test_trace_falls_back() -> None:
-    _strict_raises(trace=True)
-    m = run_workload(WORKLOADS["CG"](), ExternalStrategy(mhz=800.0), trace=True)
+def test_trace_falls_back(monkeypatch) -> None:
+    m = _event_only(monkeypatch, trace=True)
     assert m.trace is not None
 
 
-def test_channels_fall_back() -> None:
-    _strict_raises(measurement_channels=True)
-    m = run_workload(
-        WORKLOADS["CG"](), ExternalStrategy(mhz=800.0), measurement_channels=True
-    )
+def test_channels_fall_back(monkeypatch) -> None:
+    m = _event_only(monkeypatch, measurement_channels=True)
     assert m.acpi_energy_j is not None
 
 
-def test_dynamic_strategy_falls_back() -> None:
+def test_dynamic_strategy_falls_back(monkeypatch) -> None:
     # cpuspeed/predictive daemons run on the sampled-control tier and
     # beta/power-cap on the stateful-controller tier
     # (tests/sim/test_straightline_stateful.py); a Strategy subclass
     # with neither a gear plan nor a controller — the conservative
-    # defaults — remains the strict-raise representative.
+    # defaults — remains the declined representative.
     from repro.core.strategies.base import Strategy
 
     class AdHoc(Strategy):
         name = "adhoc-dynamic"
 
     assert not AdHoc().is_static()
-    _strict_raises(strategy=AdHoc())
-    m = run_workload(WORKLOADS["CG"](), AdHoc())
+    with pytest.raises(StraightlineUnsupported, match="no static gear plan"):
+        run_straightline(WORKLOADS["CG"](), AdHoc())
+    m = _event_only(monkeypatch, strategy=AdHoc())
     assert m.dvs_transitions >= 0
 
 

@@ -19,6 +19,7 @@ from repro.core.strategies.internal import (
     PhasePolicy,
     RankPolicy,
 )
+from repro.sim.straightline import run_straightline
 from repro.workloads.npb.cg import CG
 from repro.workloads.npb.ft import FT
 
@@ -38,9 +39,7 @@ def run_both(workload_factory, strategy_factory, seed: int = 0):
     ref = run_workload(
         workload_factory(), strategy_factory(), seed=seed, engine="event"
     )
-    fast = run_workload(
-        workload_factory(), strategy_factory(), seed=seed, engine="straightline"
-    )
+    fast = run_straightline(workload_factory(), strategy_factory(), seed=seed)
     return fast, ref
 
 

@@ -19,7 +19,7 @@ from repro.core.strategies import (
     PredictiveDaemonStrategy,
     SampledController,
 )
-from repro.sim.straightline import StraightlineUnsupported
+from repro.sim.straightline import StraightlineUnsupported, run_straightline
 from repro.experiments.parallel import ParallelRunner, RunTask
 from repro.experiments.store import MODEL_VERSION, cache_key
 from repro.workloads import get_workload
@@ -63,9 +63,7 @@ def run_both(workload_factory, strategy_factory, seed: int = 0):
     ref = run_workload(
         workload_factory(), strategy_factory(), seed=seed, engine="event"
     )
-    fast = run_workload(
-        workload_factory(), strategy_factory(), seed=seed, engine="straightline"
-    )
+    fast = run_straightline(workload_factory(), strategy_factory(), seed=seed)
     return fast, ref
 
 
@@ -132,13 +130,13 @@ def test_poll_on_rank_event_collides() -> None:
     # A 0.5 s compute segment at the fastest point ends at exactly 0.5
     # (0.5 * 1.4e9 and the back-division are both exact in binary), so
     # a 0.5 s poll lands on the rank's resume time — an ordering the
-    # engine resolves by event id.  Strict raises; auto falls back and
+    # engine resolves by event id.  The fast tier raises; auto falls back and
     # still matches the event engine.
     from repro.workloads.microbench import CpuBound
 
     wl = CpuBound(nprocs=1, seconds=0.5)
     with pytest.raises(StraightlineUnsupported, match="collides with poll tick"):
-        run_workload(wl, _cpuspeed(0.5), engine="straightline")
+        run_straightline(wl, _cpuspeed(0.5))
     auto = run_workload(wl, _cpuspeed(0.5))
     ref = run_workload(wl, _cpuspeed(0.5), engine="event")
     assert_identical(auto, ref)
@@ -151,7 +149,7 @@ def test_non_positive_interval_rejected() -> None:
             return SampledController(interval_s=0.0, make=inner.make)
 
     with pytest.raises(StraightlineUnsupported, match="non-positive poll interval"):
-        run_workload(_workload("FT"), ZeroInterval(), engine="straightline")
+        run_straightline(_workload("FT"), ZeroInterval())
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +159,7 @@ def test_engine_kwarg_shares_cache_slot() -> None:
     wl = _workload("FT")
     strat = _cpuspeed(0.1)
     bare = cache_key(wl, strat, 0)
-    explicit = cache_key(wl, strat, 0, {"engine": "straightline"})
+    explicit = cache_key(wl, strat, 0, {"engine": "auto"})
     event = cache_key(wl, strat, 0, {"engine": "event"})
     assert bare == explicit == event
 
@@ -172,16 +170,18 @@ def test_model_version_unbumped() -> None:
     assert MODEL_VERSION == 1
 
 
-def test_map_sweep_routes_daemons_through_sampled_tier() -> None:
+def test_map_sweep_routes_daemons_through_sampled_tier(
+    event_engine_runs,
+) -> None:
     wl = _workload("FT")
     tasks = [RunTask(wl, _cpuspeed(0.1), seed) for seed in (0, 1)]
     runner = ParallelRunner(jobs=1, memo=False)
     swept = runner.map_sweep(list(tasks))
+    # Clean daemon runs must not have fallen back to the event engine.
+    assert not event_engine_runs
     direct = [
         run_workload(wl, _cpuspeed(0.1), seed=seed, engine="event")
         for seed in (0, 1)
     ]
     for fast, ref in zip(swept, direct):
         assert_identical(fast, ref)
-    # Clean daemon runs must not have fallen back to the event engine.
-    assert runner.stats.straightline_fallbacks == 0

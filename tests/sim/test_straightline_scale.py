@@ -324,7 +324,7 @@ def test_cache_key_still_filters_engine() -> None:
     strategy = ExternalStrategy(mhz=800.0)
     keys = {
         cache_key(workload, strategy, 0, {"engine": engine})
-        for engine in ("auto", "event", "straightline", None)
+        for engine in ("auto", "event", None)
     }
     keys.add(cache_key(workload, strategy, 0, {}))
     assert len(keys) == 1

@@ -26,7 +26,7 @@ from repro.experiments.parallel import ParallelRunner, RunTask
 from repro.experiments.report import render_runner_stats
 from repro.experiments.store import MODEL_VERSION, cache_key
 from repro.faults.spec import FaultSpec
-from repro.sim.straightline import StraightlineUnsupported
+from repro.sim.straightline import StraightlineUnsupported, run_straightline
 from repro.workloads import get_workload
 from repro.workloads.microbench import CpuBound
 
@@ -64,9 +64,7 @@ def run_both(workload_factory, strategy_factory, seed: int = 0):
     ref = run_workload(
         workload_factory(), strategy_factory(), seed=seed, engine="event"
     )
-    fast = run_workload(
-        workload_factory(), strategy_factory(), seed=seed, engine="straightline"
-    )
+    fast = run_straightline(workload_factory(), strategy_factory(), seed=seed)
     return fast, ref
 
 
@@ -125,7 +123,7 @@ def test_powercap_observable_state_parity() -> None:
     ref_strat = _powercap(90.0)
     fast_strat = _powercap(90.0)
     ref = run_workload(_workload("FT"), ref_strat, engine="event")
-    fast = run_workload(_workload("FT"), fast_strat, engine="straightline")
+    fast = run_straightline(_workload("FT"), fast_strat)
     assert_identical(fast, ref)
     assert fast_strat.power_samples == ref_strat.power_samples
     assert fast_strat.power_samples  # the controller actually sampled
@@ -168,7 +166,7 @@ class _GlobalProbe(Strategy):
 
 def test_global_reduction_sees_node_ordered_samples() -> None:
     probe = _GlobalProbe()
-    run_workload(_workload("EP"), probe, engine="straightline")
+    run_straightline(_workload("EP"), probe)
     assert probe.calls, "the reduction never ran"
     opoints, _power, nprocs = probe.bound
     assert nprocs == 4
@@ -192,7 +190,7 @@ def test_global_reduction_setpoints_apply_in_emitted_order() -> None:
         return []
 
     probe = _GlobalProbe(emit=emit)
-    m = run_workload(_workload("EP"), probe, engine="straightline")
+    m = run_straightline(_workload("EP"), probe)
     assert len(probe.calls) >= 2
     _, _, indices_after = probe.calls[1]
     assert indices_after[0] == 2  # last emitted setpoint won
@@ -229,7 +227,7 @@ def test_per_node_state_carries_across_windows() -> None:
                 observes="busy",
             )
 
-    m = run_workload(_workload("EP"), Counting(), engine="straightline")
+    m = run_straightline(_workload("EP"), Counting())
     assert len(instances) == 4  # one controller per node, instantiated once
     assert len({id(c) for c in instances}) == 4
     assert all(c.ticks == instances[0].ticks for c in instances)
@@ -269,7 +267,7 @@ def test_carry_summaries_feed_the_reduction() -> None:
                 observes="busy",
             )
 
-    run_workload(_workload("EP"), Both(), engine="straightline")
+    run_straightline(_workload("EP"), Both())
     assert seen, "the reduction never ran"
     tags = [s[0] for s in seen[0]]
     assert tags == [0, 1, 2, 3]  # node-ordered summarisers
@@ -285,7 +283,7 @@ def test_controller_without_either_form_rejected() -> None:
             return SampledController(interval_s=0.1, observes="busy")
 
     with pytest.raises(StraightlineUnsupported, match="neither"):
-        run_workload(_workload("EP"), Neither(), engine="straightline")
+        run_straightline(_workload("EP"), Neither())
 
 
 def test_unknown_observation_kind_rejected() -> None:
@@ -298,7 +296,7 @@ def test_unknown_observation_kind_rejected() -> None:
             )
 
     with pytest.raises(StraightlineUnsupported, match="observation"):
-        run_workload(_workload("EP"), Martian(), engine="straightline")
+        run_straightline(_workload("EP"), Martian())
 
 
 # ----------------------------------------------------------------------
@@ -308,12 +306,12 @@ def test_beta_poll_on_segment_boundary_collides() -> None:
     # A 0.5 s compute segment at the fastest point ends at exactly 0.5
     # (0.5 * 1.4e9 and the back-division are both exact in binary), so
     # a 0.5 s poll lands on the segment end — an ordering the engine
-    # resolves by event id.  Strict raises; auto falls back and still
+    # resolves by event id.  The fast tier raises; auto falls back and still
     # matches the event engine.
     wl = CpuBound(nprocs=1, seconds=0.5)
     strat = lambda: _beta(0.5)
     with pytest.raises(StraightlineUnsupported, match="collides with poll tick"):
-        run_workload(wl, strat(), engine="straightline")
+        run_straightline(wl, strat())
     auto = run_workload(wl, strat())
     ref = run_workload(wl, strat(), engine="event")
     assert_identical(auto, ref)
@@ -326,7 +324,7 @@ def test_powercap_poll_on_activity_boundary_collides() -> None:
     wl = CpuBound(nprocs=1, seconds=0.5)
     strat = lambda: _powercap(500.0, interval_s=0.5)
     with pytest.raises(StraightlineUnsupported, match="collides with poll tick"):
-        run_workload(wl, strat(), engine="straightline")
+        run_straightline(wl, strat())
     auto = run_workload(wl, strat())
     ref = run_workload(wl, strat(), engine="event")
     assert_identical(auto, ref)
@@ -340,7 +338,7 @@ def test_noop_spec_keeps_engine_independent_cache_slot() -> None:
     strat = _beta()
     spec = FaultSpec(seed=7)
     bare = cache_key(wl, strat, 0, {"faults": spec})
-    fast = cache_key(wl, strat, 0, {"faults": spec, "engine": "straightline"})
+    fast = cache_key(wl, strat, 0, {"faults": spec, "engine": "auto"})
     event = cache_key(wl, strat, 0, {"faults": spec, "engine": "event"})
     assert bare == fast == event
     # ...but the spec still keys its own slot: a noop-faults run must
@@ -357,26 +355,22 @@ def test_model_version_unbumped() -> None:
 # ----------------------------------------------------------------------
 # sweep routing and telemetry
 # ----------------------------------------------------------------------
-def test_map_sweep_routes_stateful_controllers() -> None:
+def test_map_sweep_routes_stateful_controllers(event_engine_runs) -> None:
     wl = _workload("FT")
     tasks = [RunTask(wl, _beta(), seed) for seed in (0, 1)]
     tasks += [RunTask(wl, _powercap(90.0), 0)]
     runner = ParallelRunner(jobs=1, memo=False)
     swept = runner.map_sweep(list(tasks))
+    assert not event_engine_runs  # every point served by the fast tier
     direct = [
         run_workload(wl, _beta(), seed=seed, engine="event") for seed in (0, 1)
     ] + [run_workload(wl, _powercap(90.0), seed=0, engine="event")]
     for fast, ref in zip(swept, direct):
         assert_identical(fast, ref)
-    assert runner.stats.straightline_fallbacks == 0
-    assert runner.stats.controller_runs == 3
-    assert runner.stats.reduction_ticks > 0
-    line = render_runner_stats(runner)
-    assert "3 stateful-controller runs" in line
-    assert "reduction ticks" in line
+    assert "event-engine fallbacks" not in render_runner_stats(runner)
 
 
-def test_map_sweep_treats_noop_spec_as_clean() -> None:
+def test_map_sweep_treats_noop_spec_as_clean(event_engine_runs) -> None:
     wl = _workload("FT")
     spec = FaultSpec(seed=11)
     tasks = [
@@ -385,22 +379,23 @@ def test_map_sweep_treats_noop_spec_as_clean() -> None:
     ]
     runner = ParallelRunner(jobs=1, memo=False)
     swept = runner.map_sweep(list(tasks))
+    # routed through the fast tier, not the event engine
+    assert not event_engine_runs
     direct = [
         run_workload(wl, _beta(), seed=0, engine="event"),
         run_workload(wl, _powercap(90.0), seed=0, engine="event"),
     ]
     for fast, ref in zip(swept, direct):
         assert_identical(fast, ref)
-    # routed through the fast tier, not the event/pool path
-    assert runner.stats.straightline_fallbacks == 0
-    assert runner.stats.controller_runs == 2
 
 
-def test_map_sweep_active_spec_still_uses_event_engine() -> None:
+def test_map_sweep_active_spec_still_uses_event_engine(
+    event_engine_runs,
+) -> None:
     wl = _workload("FT")
     spec = FaultSpec(seed=5, transition_fail_rate=0.5)
     runner = ParallelRunner(jobs=1, memo=False)
     swept = runner.map_sweep([RunTask(wl, _beta(), 0, kwargs={"faults": spec})])
+    assert len(event_engine_runs) == 1
     ref = run_workload(wl, _beta(), seed=0, faults=spec, engine="event")
     assert_identical(swept[0], ref)
-    assert runner.stats.controller_runs == 0
