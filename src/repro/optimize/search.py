@@ -249,8 +249,8 @@ def optimize_gear_plan(
         Workloads the classifier declines go per point, one
         ``run_batch`` call each (its single-point straightline run):
         their candidates diverge at rank-specific waits, so a batch
-        would just split itself back to single points with extra
-        re-runs.  Points the fast tiers decline are finished on the
+        would only add an abandoned batch attempt to the scalar run
+        each plan gets anyway.  Points the fast tiers decline are finished on the
         event engine inside ``run_batch``.
         """
         fresh = [a for a in dict.fromkeys(assignments) if a not in memo]

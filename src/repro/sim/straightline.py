@@ -37,6 +37,7 @@ genuine program errors (deadlocks, mismatched collectives).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 from weakref import WeakKeyDictionary
 
@@ -1976,8 +1977,8 @@ class _BatchExecutor:
     flow*: the worklist's rank choice, wait readiness, and same-time
     event ordering must agree across every element.  Each decision is
     guarded; a divergent batch raises :class:`StraightlineUnsupported`
-    and the caller re-evaluates in smaller groups (down to per-point
-    scalar runs).
+    and :func:`run_batch` runs each of its plans once on the scalar
+    tier.
 
     Cost-model calls with per-element arguments (p2p collision wire
     bytes, collective durations) stay scalar — they branch internally —
@@ -2295,7 +2296,7 @@ class _BatchExecutor:
             # element) run consecutively in rank order — the engine's
             # tie-break — so they can share this rescan.  A rank tied in
             # only part of the batch falls back to single-step + rescan,
-            # where the guard above decides (or splits).
+            # where the guard above decides (or declines the batch).
             mb0 = float(mb[0])
             sweep = [best]
             for j in range(b + 1, len(cands)):
@@ -2949,13 +2950,18 @@ def run_batch(
 
     Returns one :class:`Measurement` per point, in input order, each
     bit-for-bit equal to what the event engine produces for that point.
-    Points whose gear plans share the same action *shape* (the hook
+    The seed cannot influence a straightline-eligible run (no fault
+    injection, no jitter — nothing draws randomness), so points with
+    equal gear plans are simulated once: only the first point with a
+    given plan is lowered and run, and every later one gets its own
+    copy of that result (its own dicts, its own ``strategy.describe()``).
+    Distinct plans that share the same action *shape* (the hook
     positions where calls fire) are evaluated together by
-    :class:`_BatchExecutor` as (B,) arrays; the seed cannot influence a
-    straightline-eligible run (no fault injection, no jitter — nothing
-    draws randomness).  Groups whose control flow diverges across
-    elements are split and retried, down to single-point
-    :func:`run_straightline` runs.
+    :class:`_BatchExecutor` as (B,) arrays.  A batch whose control flow
+    diverges across elements is abandoned, not retried: each of its
+    plans runs once on :func:`run_straightline`, so a diverged batch
+    costs one batch attempt plus one scalar run per plan.  A shape
+    group holding a single plan goes straight to the scalar run.
 
     Every batch runs on the quotient program — one interpreter rank per
     execution group shared by *every point of the batch* — so a (B
@@ -2970,15 +2976,20 @@ def run_batch(
     :class:`StraightlineUnsupported` or
     :class:`~repro.workloads.compile.CompileError`; it then runs once
     on ``run_workload(..., engine="event")`` with this call's
-    configuration and its own seed.  A decline never raises; a genuine
-    error of the event engine does.
+    configuration and its own seed — a point sharing the declined
+    point's plan too, since event-engine results may depend on the
+    seed.  A decline never raises; a genuine error of the event engine
+    does.
 
     ``stats``, when given, accumulates tier telemetry: points measured
     per tier (``quotient_points`` / ``scalar_points`` /
-    ``event_points``), bisection ``splits``, and a ``fallback_reasons``
-    histogram with one code per declined point and per batch attempt
-    that did not run compressed (the identity partition's reason, else
-    the reason of a batch that diverged).
+    ``event_points``; a duplicate counts under the tier that served its
+    plan's first point, so they sum to ``len(points)``), ``splits``
+    (batch attempts abandoned on divergence, at most one per shape
+    group), and a ``fallback_reasons`` histogram with one code per
+    declined point and per batch attempt that did not run compressed
+    (the identity partition's reason, else the reason of a batch that
+    diverged).
     """
     import numpy as np
 
@@ -2992,6 +3003,8 @@ def run_batch(
     net = network_params if network_params is not None else NetworkParameters()
     points = [(s or NoDvsStrategy(), seed) for s, seed in points]
     results: list = [None] * len(points)
+    # Per point: the tier counter that served it, or its decline.
+    served: list = [None] * len(points)
 
     def _note(key: str, n: int = 1) -> None:
         if stats is not None:
@@ -3002,9 +3015,15 @@ def run_batch(
             hist = stats.setdefault("fallback_reasons", {})
             hist[reason] = hist.get(reason, 0) + 1
 
+    def serve(key: str, idxs) -> None:
+        for i in idxs:
+            served[i] = key
+        _note(key, len(idxs))
+
     def decline(i: int, exc: Exception) -> None:
         from repro.core.framework import run_workload
 
+        served[i] = exc
         _note("event_points")
         _note_reason(_decline_reason(exc))
         strat, seed = points[i]
@@ -3025,6 +3044,7 @@ def run_batch(
 
     groups: dict[tuple, list[int]] = {}
     lowered: list = [None] * len(points)
+    same_plan: dict = {}  # gear plan -> its points, in input order
     for i, (strat, _seed) in enumerate(points):
         try:
             plan = strat.gear_plan(workload)
@@ -3033,6 +3053,14 @@ def run_batch(
                     "strategy has no static gear plan (dynamic DVS)",
                     reason="no_plan",
                 )
+        except _DECLINES as exc:
+            decline(i, exc)
+            continue
+        holders = same_plan.setdefault(plan, [])
+        holders.append(i)
+        if len(holders) > 1:
+            continue
+        try:
             low = _lower_gear_actions(compiled, plan, opoints)
             low.start()  # a bad setup table declines before anything runs
         except _DECLINES as exc:
@@ -3054,22 +3082,22 @@ def run_batch(
         except _DECLINES as exc:
             decline(i, exc)
             return
-        _note("scalar_points")
+        serve("scalar_points", [i])
 
     def evaluate(idxs: list[int]) -> None:
-        if len(idxs) == 1:
-            scalar(idxs[0])
-            return
-        try:
-            batch_measure(idxs)
-        except StraightlineUnsupported:
-            # Divergent control flow: smaller batches share more of it.
-            # The identity partition interprets the same lanes, so it
-            # would decline the same way.
-            _note("splits")
-            mid = len(idxs) // 2
-            evaluate(idxs[:mid])
-            evaluate(idxs[mid:])
+        if len(idxs) > 1:
+            try:
+                batch_measure(idxs)
+                return
+            except StraightlineUnsupported:
+                # Divergent control flow.  A retry on a smaller batch
+                # would restart from t = 0 and may diverge again; a
+                # scalar run per plan costs less.  The identity
+                # partition interprets the same lanes, so it would
+                # decline the same way.
+                _note("splits")
+        for i in idxs:
+            scalar(i)
 
     def batch_measure(idxs: list[int]) -> None:
         """Quotient-program batch: (B, G) work for a (B, N) sweep.
@@ -3080,9 +3108,8 @@ def run_batch(
         lowered actions across all points.  Per-group results broadcast
         to member nodes exactly as in :func:`_run_grouped`.
         """
-        plans = {id(lowered[i]): lowered[i] for i in idxs}.values()
         part, reason = _vector_partition(
-            compiled, list(zip(*(p.labels() for p in plans)))
+            compiled, list(zip(*(lowered[i].labels() for i in idxs)))
         )
         _note_reason(reason)
         exec_of, members = part
@@ -3116,8 +3143,21 @@ def run_batch(
                 workload, points[i][0], t_end[k], e_nodes[:, k], time_at,
                 trans[k],
             )
-        _note("quotient_points", len(idxs))
+        serve("quotient_points", idxs)
 
     for idxs in groups.values():
         evaluate(idxs)
+    for first, *later in same_plan.values():
+        how = served[first]
+        for i in later:
+            if isinstance(how, Exception):
+                decline(i, how)
+                continue
+            m = results[first]
+            results[i] = dataclasses.replace(
+                m, strategy=points[i][0].describe(),
+                per_node_energy_j=dict(m.per_node_energy_j),
+                time_at_mhz=dict(m.time_at_mhz), extras=dict(m.extras),
+            )
+            serve(how, [i])
     return results

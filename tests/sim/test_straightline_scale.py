@@ -138,10 +138,12 @@ def test_vector_matches_per_rank_scalar(code, kind) -> None:
 
 #: batches that fall to the identity partition, by decline code.
 IDENTITY_CASES = {
-    # MG's channels do not classify over its body groups.
+    # MG's channels do not classify over its body groups.  Two distinct
+    # plans: run_batch simulates a repeated plan once, on the scalar tier.
     "p2p_unclassifiable": (
         lambda: make("MG", 16),
-        [(ExternalStrategy(mhz=800.0), 0), (ExternalStrategy(mhz=800.0), 1)],
+        [(InternalStrategy(PhasePolicy({"norm"}, 600, 1400)), 0),
+         (InternalStrategy(PhasePolicy({"norm"}, 800, 1400)), 0)],
     ),
     # Per-rank start gears split FT's one body group into singletons.
     "no_compression": (
