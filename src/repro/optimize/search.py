@@ -8,11 +8,12 @@ every ``(rank group, phase)`` cell, so a symmetric N-rank workload
 searches ``G x P`` dimensions with ``G << N`` (FT collapses to one
 group; CG to its two asymmetric halves).
 
-Candidates are scored in large :func:`repro.sim.straightline.run_batch`
-calls — thousands of plans per second on the quotient batch path — and
-kept only when they satisfy the paper's hard performance constraint
-(``time <= (1 + delta) x no-DVS baseline``) and are not energy-delay
-dominated by an already-known plan.  The search refines the surviving
+Candidates are scored in one :func:`repro.sim.straightline.run_batch`
+call per round — each distinct plan runs once on its quotient program,
+one interpreter rank per rank group — and kept only when they satisfy
+the paper's hard performance constraint (``time <= (1 + delta) x
+no-DVS baseline``) and are not energy-delay dominated by an
+already-known plan.  The search refines the surviving
 frontier with coordinate-descent/beam steps (every single-cell variant
 of every frontier plan) until a round discovers nothing new; spaces
 small enough to enumerate are searched exhaustively instead, which
@@ -52,8 +53,6 @@ EXHAUSTIVE_LIMIT = 4096
 BEAM_WIDTH = 8
 #: frontier rounds before the search stops unconverged.
 MAX_ROUNDS = 32
-#: largest single ``run_batch`` call; bigger rounds split.
-BATCH_CAP = 512
 #: when ``gears ** groups`` is at most this, every per-group uniform
 #: plan (the whole EXTERNAL + split-INTERNAL family) is seeded outright,
 #: guaranteeing the winner is at least as good as any such hand-picked
@@ -90,16 +89,14 @@ class SearchTelemetry:
     #: evaluated plans that ended infeasible or energy-delay dominated
     #: (everything not on the final frontier).
     candidates_pruned: int = 0
-    #: ``run_batch`` calls issued and the largest single batch.
+    #: ``run_batch`` calls issued and the largest single call.
     batches: int = 0
     max_batch: int = 0
     rounds: int = 0
     exhaustive: bool = False
     space_size: int = 0
-    #: candidates not scored in a batch: every candidate of a workload
-    #: whose p2p traffic does not classify (scored one per
-    #: ``run_batch`` call), plus batched candidates the fast tiers
-    #: declined onto the event engine (none on any NPB shape).
+    #: candidates ``run_batch`` declined onto the event engine (its
+    #: ``event_points``; none on any NPB shape).
     scalar_fallbacks: int = 0
 
 
@@ -212,7 +209,7 @@ def optimize_gear_plan(
     phases = tuple(workload.phases)
     P = len(phases)
 
-    group_of, G, batchable = _rank_groups(workload, opoints)
+    group_of, G = _rank_groups(workload, opoints)
     n_cells = G * P
     space_size = K**n_cells
 
@@ -242,37 +239,29 @@ def optimize_gear_plan(
     def evaluate(assignments: Sequence[tuple[int, ...]]) -> None:
         """Measure every unseen assignment into ``memo``.
 
-        Quotient-eligible workloads — no point-to-point traffic, or
-        p2p whose channel classes the compiler certifies exact (CG's
-        halo exchange) — score in large ``run_batch`` calls: the B x G
-        structure-of-arrays path, thousands of plans per second.
-        Workloads the classifier declines go per point, one
-        ``run_batch`` call each (its single-point straightline run):
-        their candidates diverge at rank-specific waits, so a batch
-        would only add an abandoned batch attempt to the scalar run
-        each plan gets anyway.  Points the fast tiers decline are finished on the
-        event engine inside ``run_batch``.
+        One ``run_batch`` call per round: it compiles the workload
+        once, runs each plan once on its quotient program (the
+        execution partition of a group-uniform candidate is the body
+        partition, or the identity where the channel classifier
+        declines) and finishes any point the fast tier declines on the
+        event engine.
         """
         fresh = [a for a in dict.fromkeys(assignments) if a not in memo]
-        size = BATCH_CAP if batchable else 1
-        for lo in range(0, len(fresh), size):
-            chunk = fresh[lo : lo + size]
-            info: dict = {}
-            measured = run_batch(
-                workload,
-                [(make_strategy(a), seed) for a in chunk],
-                stats=info,
-                **run_kwargs,
-            )
-            if batchable:
-                telemetry.batches += 1
-                telemetry.max_batch = max(telemetry.max_batch, len(chunk))
-                telemetry.scalar_fallbacks += info.get("event_points", 0)
-            else:
-                telemetry.scalar_fallbacks += len(chunk)
-            for a, m in zip(chunk, measured):
-                memo[a] = m
-            telemetry.candidates_evaluated += len(chunk)
+        if not fresh:
+            return
+        info: dict = {}
+        measured = run_batch(
+            workload,
+            [(make_strategy(a), seed) for a in fresh],
+            stats=info,
+            **run_kwargs,
+        )
+        telemetry.batches += 1
+        telemetry.max_batch = max(telemetry.max_batch, len(fresh))
+        telemetry.scalar_fallbacks += info.get("event_points", 0)
+        for a, m in zip(fresh, measured):
+            memo[a] = m
+        telemetry.candidates_evaluated += len(fresh)
 
     baseline_assignment = (K - 1,) * n_cells
     evaluate([baseline_assignment])
@@ -334,37 +323,20 @@ def optimize_gear_plan(
     )
 
 
-def _rank_groups(
-    workload: Workload, opoints
-) -> tuple[tuple[int, ...], int, bool]:
-    """Rank → group mapping plus batch eligibility, from the compiler.
+def _rank_groups(workload: Workload, opoints) -> tuple[tuple[int, ...], int]:
+    """Rank → group mapping and group count, from the compiler.
 
-    The third element says whether candidates should be scored in
-    ``run_batch`` calls: true for programs without point-to-point
-    traffic, and for programs whose p2p requests classify into exact
-    group-level channel classes over the body partition
-    (:func:`repro.workloads.compile.classify_channels`) — the search's
-    candidates are group-uniform, so their execution partition *is*
-    the body partition and the quotient path applies.  Falls back to
-    one group per rank, unbatched, when the workload does not compile
-    (the search then runs per rank — correct, just without the
+    Falls back to one group per rank when the workload does not
+    compile (the search then runs per rank — correct, just without the
     quotient reduction).
     """
-    from repro.workloads.compile import (
-        CompileError,
-        classify_channels,
-        compile_workload,
-    )
+    from repro.workloads.compile import CompileError, compile_workload
 
     try:
         compiled = compile_workload(workload, opoints.fastest.frequency_hz)
     except CompileError:
-        return tuple(range(workload.nprocs)), workload.nprocs, False
-    group_of = tuple(int(g) for g in compiled.group_of)
-    batchable = (
-        compiled.n_requests == 0 or classify_channels(compiled).exact
-    )
-    return group_of, compiled.n_groups, batchable
+        return tuple(range(workload.nprocs)), workload.nprocs
+    return tuple(int(g) for g in compiled.group_of), compiled.n_groups
 
 
 def _seed_assignments(

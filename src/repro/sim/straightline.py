@@ -72,11 +72,11 @@ class StraightlineUnsupported(RuntimeError):
     Raised when the configuration is ineligible (dynamic strategy,
     faults, tracing) or when execution hits an ordering the direct
     accumulator cannot reproduce deterministically.  Callers fall back
-    to the event engine.
+    to the event engine: :func:`run_batch` runs the point once on it.
 
     ``reason`` is a stable telemetry code (``dvs_in_flight``,
-    ``out_of_order_channel``, ``divergent_control``, ``deadlock``,
-    ``wait_order``, ``no_plan``, or the generic ``unsupported``)
+    ``out_of_order_channel``, ``deadlock``, ``wait_order``,
+    ``no_plan``, or the generic ``unsupported``)
     suitable for per-reason fallback counters; the message stays the
     human-readable diagnosis.
     """
@@ -164,14 +164,6 @@ def lowering_cache_counters() -> tuple[int, int]:
     """``(hits, misses)`` of the gear-plan lowering cache, process-wide."""
     return _LOWERING_STATS["hits"], _LOWERING_STATS["misses"]
 
-#: operating-point table -> (frequency_hz array, frequency_mhz array).
-#: Shared read-only across batch executors; only ever indexed.
-_TABLES_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-
-#: power parameters -> {(opoints, activity key): per-point power array}.
-#: ``node_power_w`` is pure in (point, activity), so the vectors survive
-#: across batches; consumers index but never mutate them.
-_PVEC_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 
 #: stands in for a per-rank call row a plan's table does not reach
 _MISSING = object()
@@ -181,14 +173,12 @@ class _LoweredPlan(tuple):
     """A gear plan lowered onto a compiled program: one row per rank.
 
     Rows are shared tuples, one per distinct content, so row identity
-    is row equality.  ``shape`` is equal for two plans iff they fire at
-    the same hook positions on every rank.  :meth:`start` and
-    :meth:`labels` fill on first use: a bad setup table raises there.
+    is row equality.  :meth:`start` and :meth:`labels` fill on first
+    use: a bad setup table raises there.
     """
 
-    def __new__(cls, rows, shape, plan, opoints):
+    def __new__(cls, rows, plan, opoints):
         self = super().__new__(cls, rows)
-        self.shape = shape
         self._plan, self._opoints = plan, opoints
         self._start = self._labels = None
         return self
@@ -248,31 +238,25 @@ def _lower_gear_actions(compiled: CompiledProgram, plan, opoints) -> _LoweredPla
     rank_keys = zip(gof, *(
         list(t[:n]) + [_MISSING] * (n - len(t)) for t in tables
     ))
-    slot_of: dict = {}  # rank key -> (row, index into shapes)
+    row_of: dict = {}  # rank key -> row
     rows_by_content: dict = {}
-    shapes: dict = {}  # distinct position tuple -> first-seen index
-    slots = []
+    rows = []
     try:
         for rank, rkey in enumerate(rank_keys):
-            slot = slot_of.get(rkey)
-            if slot is None:
+            row = row_of.get(rkey)
+            if row is None:
                 row = tuple(  # inexact MHz: by_mhz's tolerant scan
                     (pos, exact[mhz] if mhz in exact
                      else opoints.index_of(opoints.by_mhz(mhz)))
                     for pos, kind, phase in compiled.markers[rank]
                     for mhz in plan.calls_at(kind, phase, rank)
                 )
-                row = rows_by_content.setdefault(row, row)
-                positions = tuple(pos for pos, _t in row)
-                slot = slot_of[rkey] = (
-                    row, shapes.setdefault(positions, len(shapes))
-                )
-            slots.append(slot)
+                row = row_of[rkey] = rows_by_content.setdefault(row, row)
+            rows.append(row)
     except (KeyError, IndexError, ValueError) as exc:
         raise CompileError(f"gear plan not executable: {exc!r}") from exc
     _LOWERING_STATS["misses"] += 1
-    rows, shape_idx = zip(*slots)
-    lowered = _LoweredPlan(rows, (tuple(shapes), shape_idx), plan, opoints)
+    lowered = _LoweredPlan(rows, plan, opoints)
     lru_put(per_prog, key, lowered)
     return lowered
 
@@ -1817,16 +1801,15 @@ def run_straightline(
             ex.transitions,
         )
 
-    actions = _lower_gear_actions(compiled, plan, opoints)
-    part, fallback_reason = _vector_partition(compiled, actions.labels())
+    lowered = _lower_gear_actions(compiled, plan, opoints)
+    measurement, fallback_reason, groups = _run_plan(
+        workload, strategy, compiled, lowered, net, power, opoints,
+        transition_latency_s,
+    )
     if stats is not None:
         stats["fallback_reason"] = fallback_reason
-        stats["groups"] = len(part[1])
-    t_end, e_nodes, time_at, transitions = _run_grouped(
-        compiled, part, workload.cost_model(), net, power, opoints,
-        actions, transition_latency_s,
-    )
-    return _measurement(workload, strategy, t_end, e_nodes, time_at, transitions)
+        stats["groups"] = groups
+    return measurement
 
 
 def _fold_hists(hists) -> dict:
@@ -1909,810 +1892,6 @@ def try_run_straightline(
         if stats is not None:
             stats["fallback_reason"] = _decline_reason(exc)
         return None
-
-
-# ----------------------------------------------------------------------
-# batched evaluation: many points of one workload, structure-of-arrays
-# ----------------------------------------------------------------------
-class _BNode:
-    """Per-node state for a batch of B runs, as (B,) float64 arrays."""
-
-    __slots__ = ("freq_hz", "opi", "start_opi", "stall_until", "cpu_free",
-                 "live_stall", "events", "gears")
-
-    def __init__(self, opi, freq_hz, stall_until, zeros, gears) -> None:
-        self.opi = opi  # (B,) operating-point indices
-        self.start_opi = opi
-        self.freq_hz = freq_hz
-        self.stall_until = stall_until
-        # False once every element's stall is provably consumed (CPU
-        # starts only grow); lets segments skip the clamp arithmetic.
-        self.live_stall = True
-        self.cpu_free = zeros
-        # (t_array, seq, kind, payload, mask) — mask is None (applies to
-        # every element) or a (B,) bool array (partial gear changes).
-        self.events: list[tuple] = []
-        self.gears = gears  # (B,) in-run transition counts
-
-
-class _BRank:
-    __slots__ = ("rank", "pc", "t", "phase", "wait_req", "coll_seq", "spawn",
-                 "finish", "ops", "iargs", "fargs", "node", "acts", "act_i",
-                 "rbase")
-
-    def __init__(self, rank: int, zeros) -> None:
-        self.rank = rank
-        self.rbase = 0
-        self.pc = 0
-        self.t = zeros
-        self.phase = "op"
-        self.wait_req = -1
-        self.coll_seq = -1
-        self.spawn: list[int] = []
-        self.finish = zeros
-        self.ops: list[int] = []
-        self.iargs: list[int] = []
-        self.fargs: list = []
-        self.node = None
-        self.acts: list[tuple] = []  # (op position, (B,) target indices)
-        self.act_i = 0
-
-
-class _BChan:
-    __slots__ = ("free", "max_req")
-
-    def __init__(self, zeros) -> None:
-        self.free = zeros
-        self.max_req = zeros
-
-
-class _BatchExecutor:
-    """Structure-of-arrays interpreter for B same-shape runs at once.
-
-    Every quantity the scalar :class:`_Executor` keeps as one float is a
-    (B,) float64 array here; all arithmetic is elementwise (``a + b``,
-    ``np.maximum``, ``np.where``), which evaluates the identical IEEE
-    operations per element, so results stay bit-for-bit equal to B
-    scalar runs.  The one thing a batch cannot vectorize is *control
-    flow*: the worklist's rank choice, wait readiness, and same-time
-    event ordering must agree across every element.  Each decision is
-    guarded; a divergent batch raises :class:`StraightlineUnsupported`
-    and :func:`run_batch` runs each of its plans once on the scalar
-    tier.
-
-    Cost-model calls with per-element arguments (p2p collision wire
-    bytes, collective durations) stay scalar — they branch internally —
-    and are memoized per distinct argument tuple, which collapses to a
-    handful of entries because frequencies come from a small table.
-    """
-
-    def __init__(self, compiled: CompiledProgram, cost, net_params,
-                 power_params, opoints, start_idx, gear_actions,
-                 transition_latency_s: float,
-                 coll_n: Optional[int] = None) -> None:
-        import numpy as np
-
-        self.np = np
-        self.c = compiled
-        self.cost = cost
-        self.net = net_params
-        self.power = power_params
-        self.opoints = opoints
-        self.n = compiled.nprocs
-        self.coll_n = coll_n if coll_n is not None else compiled.nprocs
-        self.B = B = len(start_idx[0])
-        self.fastest_hz = compiled.fastest_hz
-        self.transition_latency_s = transition_latency_s
-        self.dvs_overhead_s = cost.dvs_call_overhead_s
-        tabs = _TABLES_CACHE.get(opoints)
-        if tabs is None:
-            tabs = (np.array([op.frequency_hz for op in opoints]),
-                    np.array([op.frequency_mhz for op in opoints]))
-            _TABLES_CACHE[opoints] = tabs
-        self.freq_tab, self.mhz_tab = tabs
-        max_idx = opoints.max_index
-        zeros = np.zeros(B)
-        no_gears = np.zeros(B, dtype=np.int64)
-        self.nodes = []
-        for r in range(self.n):
-            opi = start_idx[r]
-            # Strategy setup runs at t=0 on a CPU parked at the fastest
-            # point: a changed index leaves the transition stall behind.
-            stall = np.where(opi != max_idx, transition_latency_s, 0.0)
-            self.nodes.append(
-                _BNode(opi, self.freq_tab[opi], stall, zeros, no_gears)
-            )
-        self._has_gears = bool(gear_actions) and any(gear_actions)
-        ratio = self.nodes[0].freq_hz
-        for nd in self.nodes[1:]:
-            ratio = np.maximum(ratio, nd.freq_hz)
-        self.freq_ratio = ratio / compiled.fastest_hz
-        (self.ops, self.iargs, self.fargs, self.req_kind, self.req_owner,
-         self.req_peer, self.req_nbytes, self.req_eager,
-         self.req_match, self.req_base) = _program_lists(compiled)
-        nreq = compiled.n_requests
-        self.done_t: list = [None] * nreq
-        self.posted_t: list = [None] * nreq
-        self.delivered_t: list = [None] * nreq
-        self.rts_t: list = [None] * nreq
-        self.wire: list = [0.0] * nreq
-        self.tx = [_BChan(zeros) for _ in range(self.n)]
-        self.rx = [_BChan(zeros) for _ in range(self.n)]
-        self.slots = [_Slot() for _ in compiled.coll_kinds]
-        self.ranks = [_BRank(r, zeros) for r in range(self.n)]
-        for r in self.ranks:
-            r.ops = self.ops[r.rank]
-            r.iargs = self.iargs[r.rank]
-            r.fargs = self.fargs[r.rank]
-            r.rbase = self.req_base[r.rank]
-            r.node = self.nodes[r.rank]
-            if gear_actions:
-                r.acts = gear_actions[r.rank]
-        self._seq = 0
-        self._seq_late = 1 << 62
-        self.comm_sig = cost.comm_progress.as_tuple()
-        self.wait_sig = cost.blocked_wait.as_tuple()
-        self._send_cycles = cost.send_cycles
-        self._recv_cycles = cost.recv_cycles
-        self._wire_memo: dict = {}
-        self._coll_memo: dict = {}
-        self._pvec_cache: dict = {}
-        self._dirty = False
-
-    # -- breakpoints ----------------------------------------------------
-    def _emit(self, node, t, kind, payload=None, mask=None) -> None:
-        self._seq += 1
-        node.events.append((t, self._seq, kind, payload, mask))
-
-    def _emit_late(self, node, t, kind, payload=None) -> None:
-        self._seq_late += 1
-        node.events.append((t, self._seq_late, kind, payload, None))
-
-    def _run_seg(self, node, t_req, cycles, offchip, act, busy, mem, nic):
-        np = self.np
-        if t_req is node.cpu_free:  # back-to-back segments: max(x, x) == x
-            start = t_req
-        else:
-            start = np.maximum(t_req, node.cpu_free)
-        if node.live_stall:
-            stall = node.stall_until - start
-            stall = np.where(stall < 0.0, 0.0, stall)
-            planned = stall + cycles / node.freq_hz + offchip
-            end = start + planned
-            # Later starts are >= this end; once the whole batch is past
-            # the stall the clamp is identically +0.0 and 0.0 + x == x.
-            if bool((node.stall_until <= end).all()):
-                node.live_stall = False
-        else:
-            planned = cycles / node.freq_hz
-            if offchip != 0.0:
-                planned = planned + offchip
-            end = start + planned
-        seq = self._seq
-        events = node.events
-        events.append((start, seq + 1, _EV_START, (act, busy, mem, nic), None))
-        events.append((end, seq + 2, _EV_END, None, None))
-        self._seq = seq + 2
-        node.cpu_free = end
-        return end
-
-    # -- gear changes ---------------------------------------------------
-    def _apply_actions(self, r, pc: int) -> None:
-        acts = r.acts
-        i = r.act_i
-        while i < len(acts) and acts[i][0] <= pc:
-            self._apply_gear(r, acts[i][1])
-            i += 1
-        r.act_i = i
-
-    def _apply_gear(self, r, target) -> None:
-        np = self.np
-        node = r.node
-        t = r.t
-        if bool(np.any(node.cpu_free > t)):
-            raise StraightlineUnsupported("DVS call while a segment is in flight",
-                                    reason="dvs_in_flight")
-        overhead = self.dvs_overhead_s
-        if overhead != 0.0:
-            node.stall_until = np.maximum(node.stall_until, t) + overhead
-            node.live_stall = True
-            self._emit(node, t, _EV_TOUCH, None)
-        changed = target != node.opi
-        if bool(changed.any()):
-            base = np.maximum(node.stall_until, t)
-            node.stall_until = np.where(
-                changed, base + self.transition_latency_s, node.stall_until
-            )
-            node.live_stall = True
-            opi_new = np.where(changed, target, node.opi)
-            node.opi = opi_new
-            node.freq_hz = self.freq_tab[opi_new]
-            node.gears = node.gears + changed
-            self._emit(node, t, _EV_GEAR, opi_new, mask=changed)
-
-    # -- network --------------------------------------------------------
-    def _grant(self, chan, t_req):
-        np = self.np
-        if bool(np.any((t_req < chan.max_req) & (t_req < chan.free))):
-            raise StraightlineUnsupported("out-of-order network channel demand",
-                                          reason="out_of_order_channel")
-        chan.max_req = np.maximum(chan.max_req, t_req)
-        return np.maximum(t_req, chan.free)
-
-    def _transfer(self, src: int, dst: int, nbytes, t0):
-        if src == dst:
-            return t0 + nbytes / (400e6)
-        tx, rx = self.tx[src], self.rx[dst]
-        g1 = self._grant(tx, t0)
-        g2 = self._grant(rx, g1)
-        ser_end = g2 + self.net.serialization_s(nbytes)
-        tx.free = ser_end
-        rx.free = ser_end
-        return ser_end + self.net.latency_s
-
-    def _wire_vec(self, nbytes, node):
-        """Per-element ``p2p_wire_bytes`` for one sender node.
-
-        Memoized per ``(nbytes, freq array object)``: ``node.freq_hz``
-        is *replaced* (never mutated) by ``_apply_gear``, so one cached
-        (B,) result serves every message of that byte count until the
-        node's next gear change — the entry keeps the frequency array
-        alive, pinning its ``id``.  On a miss the branchy scalar
-        formula runs once per *distinct* ratio instead of once per
-        element.
-        """
-        if not self.cost.collision_applies_p2p:
-            return nbytes  # scalar: broadcasts exactly
-        np = self.np
-        memo = self._wire_memo
-        key = (nbytes, id(node.freq_hz))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        fn = self.cost.p2p_wire_bytes
-        ratio = node.freq_hz / self.fastest_hz
-        uniq, inv = np.unique(ratio, return_inverse=True)
-        vals = np.array([fn(nbytes, rk) for rk in uniq.tolist()])
-        out = vals[inv]
-        memo[key] = (node.freq_hz, out)
-        return out
-
-    def _coll_vec(self, kind: str, wmax: float, ratio):
-        np = self.np
-        memo = self._coll_memo
-        fn = self.cost.collective_seconds
-        out = np.empty(self.B)
-        for k, rk in enumerate(ratio.tolist()):
-            key = (kind, wmax, rk)
-            v = memo.get(key)
-            if v is None:
-                v = fn(kind, self.coll_n, wmax, self.net,
-                       freq_ratio=rk, jitter_s=0.0)
-                memo[key] = v
-            out[k] = v
-        return out
-
-    # -- send chains ----------------------------------------------------
-    def _flush(self, rank) -> None:
-        if not rank.spawn:
-            return
-        pending, rank.spawn = rank.spawn, []
-        for req_id in pending:
-            self._run_send_chain(req_id, rank.t)
-
-    def _run_send_chain(self, s_id: int, ft) -> None:
-        self._dirty = True  # may resolve the peer's recv request
-        np = self.np
-        src = self.req_owner[s_id]
-        dst = self.req_peer[s_id]
-        nbytes = self.req_nbytes[s_id]
-        node = self.nodes[src]
-        self.wire[s_id] = self._wire_vec(nbytes, node)
-        sw_end = self._run_seg(
-            node, ft, self._send_cycles(nbytes), 0.0, 1.0, 1.0, 0.0, 0.4
-        )
-        r_id = self.req_match[s_id]
-        if self.req_eager[s_id]:
-            self.done_t[s_id] = sw_end
-            delivered = self._transfer(src, dst, self.wire[s_id], sw_end)
-            self.delivered_t[s_id] = delivered
-            pt = self.posted_t[r_id]
-            if pt is not None:
-                self.done_t[r_id] = np.maximum(pt, delivered)
-        else:
-            self.rts_t[s_id] = sw_end + self.net.latency_s
-            if self.posted_t[r_id] is not None:
-                self._complete_rndv(s_id)
-
-    def _complete_rndv(self, s_id: int) -> None:
-        self._dirty = True  # resolves requests on both sides
-        np = self.np
-        r_id = self.req_match[s_id]
-        cts = np.maximum(self.posted_t[r_id], self.rts_t[s_id])
-        src = self.req_owner[s_id]
-        dst = self.req_peer[s_id]
-        src_node, dst_node = self.nodes[src], self.nodes[dst]
-        self._emit_late(src_node, cts, _EV_PUSH, self.comm_sig)
-        self._emit_late(dst_node, cts, _EV_PUSH, self.comm_sig)
-        delivered = self._transfer(src, dst, self.wire[s_id], cts)
-        self._emit_late(src_node, delivered, _EV_POP, self.comm_sig)
-        self._emit_late(dst_node, delivered, _EV_POP, self.comm_sig)
-        self.delivered_t[s_id] = delivered
-        self.done_t[s_id] = delivered
-        self.done_t[r_id] = delivered
-
-    # -- the worklist ---------------------------------------------------
-    def run(self):
-        np = self.np
-        ranks = self.ranks
-        done_t = self.done_t
-        slots = self.slots
-        step = self._step
-        while True:
-            rows = []
-            cands = []
-            all_done = True
-            for r in ranks:
-                phase = r.phase
-                if phase == "done":
-                    continue
-                all_done = False
-                if phase == "op":
-                    nt = r.t
-                elif phase == "wait":
-                    nt = done_t[r.wait_req]
-                else:
-                    nt = slots[r.coll_seq].done_t
-                if nt is None:
-                    continue
-                rows.append(nt)
-                cands.append(r)
-            if all_done:
-                break
-            if not rows:
-                raise StraightlineUnsupported("no runnable rank (program deadlock?)",
-                                              reason="deadlock")
-            if len(cands) == 1:
-                # Only one resolvable rank: a rescan would pick it again
-                # until it parks or resolves someone else's request.
-                best = cands[0]
-                while True:
-                    self._dirty = False
-                    step(best)
-                    if self._dirty or best.phase != "op":
-                        break
-                continue
-            M = np.stack(rows)
-            b = int(np.argmin(M[:, 0]))
-            mb = M[b]
-            # Engine order: earliest next-time, lowest rank on ties —
-            # must hold in EVERY element, or the batch's single control
-            # flow would mis-order some element's schedule.
-            if not (M >= mb).all() or (b > 0 and not (M[:b] > mb).all()):
-                raise StraightlineUnsupported("rank schedule diverges across batch",
-                                              reason="divergent_control")
-            best = cands[b]
-            # Ranks fully tied with the winner (equal next-time in every
-            # element) run consecutively in rank order — the engine's
-            # tie-break — so they can share this rescan.  A rank tied in
-            # only part of the batch falls back to single-step + rescan,
-            # where the guard above decides (or declines the batch).
-            mb0 = float(mb[0])
-            sweep = [best]
-            for j in range(b + 1, len(cands)):
-                if float(rows[j][0]) == mb0:
-                    if bool((rows[j] == mb).all()):
-                        sweep.append(cands[j])
-                    else:
-                        sweep = None
-                        break
-            if sweep is None:
-                self._dirty = False
-                step(best)
-                continue
-            if len(sweep) == 1:
-                # Burst: keep stepping the chosen rank without
-                # rescanning while the order is provably unchanged in
-                # every element.  Exactness: no other rank's next-time
-                # can move unless a step resolves a request or
-                # collective (the _dirty flag), and the chosen rank's
-                # own time only grows — so while it stays strictly
-                # earliest everywhere, the full rescan would pick it
-                # again.  Ties break to a rescan, which re-applies the
-                # (time, rank) guard above.
-                if len(cands) > 1:
-                    # np.stack copied the rows, so masking row b touches
-                    # nothing the ranks still reference.
-                    M[b] = np.inf
-                    others = M.min(axis=0)
-                else:
-                    others = None
-                while True:
-                    self._dirty = False
-                    step(best)
-                    if self._dirty or best.phase != "op":
-                        break
-                    if others is None:
-                        continue  # only resolvable rank; nobody to overtake
-                    if bool((best.t < others).all()):
-                        continue
-                    break
-                continue
-            # Tied sweep: each tied rank runs — at the shared time —
-            # until it parks or provably moves past the tie in every
-            # element; then the next tied rank is exactly the rescan's
-            # choice.  Any resolution (dirty) or ambiguity aborts to a
-            # rescan, whose guard re-establishes (or refuses) the order.
-            aborted = False
-            for r in sweep:
-                while True:
-                    self._dirty = False
-                    step(r)
-                    if self._dirty:
-                        aborted = True
-                        break
-                    if r.phase != "op":
-                        break  # parked or done: next tied rank
-                    if float(r.t[0]) == mb0:
-                        if bool((r.t == mb).all()):
-                            continue  # still at the tie: r keeps winning
-                        aborted = True
-                        break
-                    if bool((r.t > mb).all()):
-                        break  # strictly past the tie everywhere
-                    aborted = True
-                    break
-                if aborted:
-                    break
-        return np.max(np.stack([r.finish for r in ranks]), axis=0)
-
-    def _step(self, r) -> None:
-        phase = r.phase
-        if phase == "wait":
-            self._complete_wait(r, r.wait_req, self.done_t[r.wait_req])
-            r.phase = "op"
-            return
-        if phase == "coll":
-            r.t = self.slots[r.coll_seq].done_t
-            r.phase = "op"
-            r.pc += 1
-            return
-        ops = r.ops
-        pc = r.pc
-        if r.act_i < len(r.acts):
-            self._apply_actions(r, pc)
-        if pc >= len(ops):
-            if r.spawn:
-                self._flush(r)
-            r.finish = r.t
-            r.phase = "done"
-            return
-        code = ops[pc]
-        if code == OP_COMPUTE:
-            cyc, off, act, busy, mem, nic = r.fargs[pc]
-            end = self._run_seg(r.node, r.t, cyc, off, act, busy, mem, nic)
-            if r.spawn:
-                self._flush(r)
-            r.t = end
-            r.pc = pc + 1
-        elif code == OP_IDLE:
-            if r.spawn:
-                self._flush(r)
-            r.t = r.t + r.fargs[pc][0]
-            r.pc = pc + 1
-        elif code == OP_ISEND:
-            r.spawn.append(r.rbase + r.iargs[pc])
-            r.pc = pc + 1
-        elif code == OP_IRECV:
-            self._post_recv(r, r.rbase + r.iargs[pc])
-            r.pc = pc + 1
-        elif code == OP_WAIT:
-            self._start_wait(r, r.rbase + r.iargs[pc])
-        else:
-            self._start_collective(r)
-
-    def _post_recv(self, r, req_id: int) -> None:
-        np = self.np
-        self.posted_t[req_id] = r.t
-        s_id = self.req_match[req_id]
-        if self.req_eager[s_id]:
-            dv = self.delivered_t[s_id]
-            if dv is not None:
-                self.done_t[req_id] = np.maximum(r.t, dv)
-        elif self.rts_t[s_id] is not None and self.done_t[s_id] is None:
-            self._complete_rndv(s_id)
-
-    def _start_wait(self, r, req_id: int) -> None:
-        np = self.np
-        d = self.done_t[req_id]
-        node = r.node
-        if d is not None:
-            le = d <= r.t
-            if le.all():
-                if self.req_kind[req_id] == REQ_RECV:
-                    end = self._unpack(node, r.t, req_id)
-                    if r.spawn:
-                        self._flush(r)
-                    r.t = end
-                r.pc += 1
-                return
-            if le.any():
-                # Already-triggered in some elements, blocking in others:
-                # the wait-state push would apply to only part of the
-                # batch and the two schedules diverge from here.
-                raise StraightlineUnsupported("wait readiness diverges across batch",
-                                              reason="divergent_control")
-        self._emit(node, r.t, _EV_PUSH, self.wait_sig)
-        if r.spawn:
-            self._flush(r)
-        d = self.done_t[req_id]
-        if d is None:
-            r.wait_req = req_id
-            r.phase = "wait"
-            return
-        self._complete_wait(r, req_id, d)
-
-    def _complete_wait(self, r, req_id: int, d) -> None:
-        np = self.np
-        if bool(np.any(d < r.t)):
-            raise StraightlineUnsupported("wait resolved before block point",
-                                          reason="wait_order")
-        node = r.node
-        self._emit(node, d, _EV_POP, self.wait_sig)
-        r.t = d
-        if self.req_kind[req_id] == REQ_RECV:
-            r.t = self._unpack(node, d, req_id)
-        r.pc += 1
-
-    def _unpack(self, node, t, req_id: int):
-        nbytes = self.req_nbytes[self.req_match[req_id]]
-        return self._run_seg(
-            node, t, self._recv_cycles(nbytes), 0.0, 1.0, 1.0, 0.4, 0.3
-        )
-
-    def _start_collective(self, r) -> None:
-        np = self.np
-        seq = r.iargs[r.pc]
-        f = r.fargs[r.pc]
-        wire = f[0]
-        copy = f[1]
-        node = r.node
-        pack_end = self._run_seg(
-            node, r.t,
-            self.cost.collective_overhead_cycles
-            + self.cost.pack_cycles_per_byte * copy,
-            0.0, 1.0, 1.0, 0.4, 0.0,
-        )
-        if r.spawn:
-            self._flush(r)
-        self._emit(node, pack_end, _EV_PUSH, self.comm_sig)
-        slot = self.slots[seq]
-        slot.arrivals[r.rank] = pack_end
-        slot.wires[r.rank] = wire
-        r.t = pack_end
-        r.coll_seq = seq
-        r.phase = "coll"
-        if len(slot.arrivals) == self.n:
-            self._dirty = True  # unblocks every parked rank
-            # max is associative and exact (result is an operand; no
-            # NaN, no -0.0 in times), so the reduction order is free.
-            all_at = np.max(np.stack(list(slot.arrivals.values())), axis=0)
-            ratio = self.freq_ratio
-            if self._has_gears:
-                cur = np.max(np.stack([nd.freq_hz for nd in self.nodes]), axis=0)
-                ratio = cur / self.fastest_hz
-            duration = self._coll_vec(
-                self.c.coll_kinds[seq], max(slot.wires.values()), ratio
-            )
-            slot.done_t = all_at + duration
-            for rr in range(self.n):
-                self._emit(self.nodes[rr], slot.done_t, _EV_POP, self.comm_sig)
-
-    # -- accounting -----------------------------------------------------
-    def _power_vec(self, key):
-        v = self._pvec_cache.get(key)
-        if v is None:
-            per_power = _PVEC_CACHE.get(self.power)
-            if per_power is None:
-                per_power = _PVEC_CACHE[self.power] = {}
-            gkey = (self.opoints, key)
-            v = per_power.get(gkey)
-            if v is None:
-                power_w = self.power.node_power_w
-                v = self.np.array(
-                    [power_w(op, key[0], key[1], key[2]) for op in self.opoints]
-                )
-                per_power[gkey] = v
-            self._pvec_cache[key] = v
-        return v
-
-    def finalize(self, t_end):
-        """Per-node (B,) energies + per-node per-element time histograms.
-
-        Same integration as the scalar :meth:`_Executor.finalize`, with
-        every accumulator widened to (B,).  Events are totally ordered
-        by element 0's times; a guard checks the order holds in every
-        element (per-element processing must be chronological for the
-        piecewise-constant integrals to be exact).  Elements reach
-        their own ``t_end`` at different times: contributions beyond an
-        element's end are masked to exact ``+0.0`` adds, freezing its
-        accumulators the way the scalar loop's early break does.  The
-        power-state machine (active segment, wait-state stack) is
-        *shared* — signatures are program constants, identical across
-        elements — and only per-element operating points index into
-        per-key power vectors.
-        """
-        np = self.np
-        energies = []
-        hists = []
-        for node in self.nodes:
-            events = sorted(node.events, key=lambda e: (e[0][0], e[1]))
-            T = None
-            if events:
-                T = np.stack([e[0] for e in events])
-                if T.shape[0] > 1:
-                    if bool(np.any(T[1:] < T[:-1])):
-                        raise StraightlineUnsupported(
-                            "event order diverges across batch",
-                            reason="divergent_control",
-                        )
-                    # Same-time events order by seq; where the sort put a
-                    # higher seq first (its element-0 time was smaller),
-                    # every element must separate the pair strictly.
-                    seqs = np.array([e[1] for e in events])
-                    desc = seqs[:-1] > seqs[1:]
-                    if bool(np.any(desc & np.any(T[1:] <= T[:-1], axis=1))):
-                        raise StraightlineUnsupported(
-                            "event order diverges across batch",
-                            reason="divergent_control",
-                        )
-            energy, node_hists = self._integrate_matrix(node, events, T, t_end)
-            energies.append(energy)
-            hists.append(node_hists)
-        return energies, hists
-
-    def _integrate_matrix(self, node, events, T, t_end):
-        """Whole-event-list integration, one numpy pass per quantity.
-
-        The power-state machine is shared; only the operating point and
-        each element's own end time vary per element.  Exactness vs the
-        scalar per-event loop: boundary times are clamped to ``t_end``
-        so intervals past an element's end contribute exact ``+0.0``;
-        a gear event masked out of an element is no boundary there (its
-        time is replaced by the previous boundary, so the split interval
-        adds an exact ``+0.0`` and the next spans the whole gap); the
-        energy fold is ``np.cumsum`` along the event axis — the same
-        left-to-right sequential additions as the per-event loop — and
-        each histogram cell is ``np.bincount``'s single in-order pass
-        over the same addends.
-        """
-        np = self.np
-        B = self.B
-        idle = self.power.cpu_idle_activity
-        idle_key = (idle, 0.0, 0.0)
-        mhz_tab = self.mhz_tab
-        opi0 = node.start_opi
-        n_ev = len(events)
-
-        # Shared power-state machine (pure Python): the key in effect
-        # after each meter-visible (non-TOUCH) event, plus gear sites.
-        keys: list[tuple] = []
-        nontouch: list[int] = []
-        gears: list[tuple] = []  # (event index, non-TOUCH position, opi array)
-        active = None
-        stack: list[tuple] = []
-        for i in range(n_ev):
-            kind = events[i][2]
-            payload = events[i][3]
-            if kind == _EV_TOUCH:
-                continue
-            if kind == _EV_START:
-                active = payload
-            elif kind == _EV_END:
-                active = None
-            elif kind == _EV_PUSH:
-                stack.append(payload)
-            elif kind == _EV_POP:
-                for j in range(len(stack) - 1, -1, -1):
-                    if stack[j] == payload:
-                        del stack[j]
-                        break
-            else:  # _EV_GEAR
-                gears.append((i, len(keys), payload))
-            if active is not None:
-                key = (active[0], active[2], active[3])
-            elif stack:
-                top = stack[-1]
-                dyn = top[0] if top[0] > idle else idle
-                key = (dyn, top[2], top[3])
-            else:
-                key = idle_key
-            keys.append(key)
-            nontouch.append(i)
-        m = len(keys)
-
-        # Power id per energy interval: interval i runs from boundary i
-        # to i+1 under the state after the first i non-TOUCH events.
-        key_ids: dict = {}
-        kid = np.empty(m + 1, dtype=np.intp)
-        kid[0] = key_ids.setdefault(idle_key, 0)
-        for i, k in enumerate(keys):
-            v = key_ids.get(k)
-            if v is None:
-                v = key_ids[k] = len(key_ids)
-            kid[i + 1] = v
-        pmat = np.stack([self._power_vec(k) for k in key_ids])
-
-        start_mhz = mhz_tab[opi0]
-        row_maps: list[dict] = [{float(start_mhz[k]): 0} for k in range(B)]
-        if gears:
-            OPI = np.empty((m + 1, B), dtype=np.intp)
-            ROW = np.empty((n_ev + 1, B), dtype=np.intp)
-            cur_opi = opi0
-            cur_row = np.zeros(B, dtype=np.intp)
-            prev_e = prev_h = 0
-            for g_h, g_e, payload in gears:
-                OPI[prev_e:g_e + 1] = cur_opi
-                ROW[prev_h:g_h + 1] = cur_row
-                cur_opi = payload
-                mhz_new = mhz_tab[payload]
-                cur_row = np.empty(B, dtype=np.intp)
-                for k in range(B):
-                    mm = float(mhz_new[k])
-                    rm = row_maps[k]
-                    rw = rm.get(mm)
-                    if rw is None:
-                        rw = rm[mm] = len(rm)
-                    cur_row[k] = rw
-                prev_e, prev_h = g_e + 1, g_h + 1
-            OPI[prev_e:] = cur_opi
-            ROW[prev_h:] = cur_row
-            P = pmat[kid[:, None], OPI]
-        else:
-            ROW = None
-            P = pmat[kid][:, opi0]
-
-        # Boundaries, clamped per element: [0, t_0, ..., t_last, t_end].
-        if n_ev:
-            Tc = np.minimum(T, t_end)
-            Te = Tc if m == n_ev else Tc[np.array(nontouch, dtype=np.intp)]
-        BE = np.empty((m + 2, B))
-        BE[0] = 0.0
-        if m:
-            BE[1:m + 1] = Te
-        BE[m + 1] = t_end
-        BH = np.empty((n_ev + 2, B))
-        BH[0] = 0.0
-        if n_ev:
-            BH[1:n_ev + 1] = Tc
-        BH[n_ev + 1] = t_end
-        for g_h, g_e, _payload in gears:
-            mask = events[g_h][4]
-            if not bool(mask.all()):
-                BE[g_e + 1] = np.where(mask, BE[g_e + 1], BE[g_e])
-                BH[g_h + 1] = np.where(mask, BH[g_h + 1], BH[g_h])
-        C = P * (BE[1:] - BE[:-1])
-        energy = np.cumsum(C, axis=0)[-1]
-        DTh = BH[1:] - BH[:-1]
-        node_hists = []
-        if ROW is None:
-            tot = np.cumsum(DTh, axis=0)[-1]
-            for k in range(B):
-                v = float(tot[k])
-                node_hists.append({float(start_mhz[k]): v} if v != 0.0 else {})
-        else:
-            for k in range(B):
-                rm = row_maps[k]
-                vals = np.bincount(
-                    ROW[:, k], weights=DTh[:, k], minlength=len(rm)
-                )
-                hk = {}
-                for mm, rw in rm.items():
-                    v = float(vals[rw])
-                    if v != 0.0:
-                        hk[mm] = v
-                node_hists.append(hk)
-        return energy, node_hists
 
 
 # ----------------------------------------------------------------------
@@ -2885,24 +2064,6 @@ def _merge_hists_nodewise(nprocs: int, members: list[list[int]],
     return time_at
 
 
-def _broadcast_groups(part: tuple, ex, t_end):
-    """Finalize a quotient run and broadcast it over the member nodes.
-
-    Returns ``(transitions, e_nodes, hists_g)``: each group's gear
-    transition count weighted by its size, the per-node energies (one
-    row per node, indexed by execution group) and the per-group
-    histograms for :func:`_merge_hists_nodewise`.  Serves the scalar
-    (``(G,)`` per-node values) and batch (``(G, B)``) executors alike.
-    """
-    import numpy as np
-
-    exec_of, members = part
-    energies_g, hists_g = ex.finalize(t_end)
-    counts = np.array([len(m) for m in members], dtype=np.int64)
-    gears = np.array([nd.gears for nd in ex.nodes], dtype=np.int64)
-    return counts @ gears, np.array(energies_g)[exec_of], hists_g
-
-
 def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
                  opoints, actions: _LoweredPlan, transition_latency_s: float):
     """Evaluate a static/piecewise-static run on the quotient program.
@@ -2920,6 +2081,8 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
     Returns ``(t_end, e_nodes, time_at, transitions)`` with ``e_nodes``
     an (N,) array of per-node energies.
     """
+    import numpy as np
+
     exec_of, members = part
     reps = [m[0] for m in members]
     start_idx = actions.start()
@@ -2931,9 +2094,35 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
         transition_latency_s=transition_latency_s, coll_n=compiled.nprocs,
     )
     t_end = ex.run()
-    transitions, e_nodes, hists_g = _broadcast_groups(part, ex, t_end)
+    energies_g, hists_g = ex.finalize(t_end)
+    # Each group's transitions count once per member node.
+    transitions = sum(len(m) * nd.gears for m, nd in zip(members, ex.nodes))
+    e_nodes = np.array(energies_g)[exec_of]
     time_at = _merge_hists_nodewise(compiled.nprocs, members, hists_g)
     return t_end, e_nodes, time_at, transitions
+
+
+def _run_plan(workload, strategy, compiled: CompiledProgram,
+              lowered: _LoweredPlan, net, power, opoints,
+              transition_latency_s: float):
+    """Measure one lowered gear plan on its quotient program.
+
+    The one per-plan path of :func:`run_straightline` and
+    :func:`run_batch`.  Returns ``(measurement, reason, groups)``:
+    ``reason`` is the partition's decline code (``None`` when it
+    compresses exactly, else why the run fell to the identity) and
+    ``groups`` the execution group count (= nprocs on the identity).
+    Raises :class:`StraightlineUnsupported` when the interpreter hits
+    an ordering it cannot reproduce.
+    """
+    part, reason = _vector_partition(compiled, lowered.labels())
+    t_end, e_nodes, time_at, transitions = _run_grouped(
+        compiled, part, workload.cost_model(), net, power, opoints, lowered,
+        transition_latency_s,
+    )
+    measurement = _measurement(workload, strategy, t_end, e_nodes, time_at,
+                               transitions)
+    return measurement, reason, len(part[1])
 
 
 def run_batch(
@@ -2950,29 +2139,24 @@ def run_batch(
 
     Returns one :class:`Measurement` per point, in input order, each
     bit-for-bit equal to what the event engine produces for that point.
-    The seed cannot influence a straightline-eligible run (no fault
-    injection, no jitter — nothing draws randomness), so points with
-    equal gear plans are simulated once: only the first point with a
-    given plan is lowered and run, and every later one gets its own
-    copy of that result (its own dicts, its own ``strategy.describe()``).
-    Distinct plans that share the same action *shape* (the hook
-    positions where calls fire) are evaluated together by
-    :class:`_BatchExecutor` as (B,) arrays.  A batch whose control flow
-    diverges across elements is abandoned, not retried: each of its
-    plans runs once on :func:`run_straightline`, so a diverged batch
-    costs one batch attempt plus one scalar run per plan.  A shape
-    group holding a single plan goes straight to the scalar run.
+    The workload compiles once per call.  The seed cannot influence a
+    straightline-eligible run (no fault injection, no jitter — nothing
+    draws randomness), so points with equal gear plans are simulated
+    once: only the first point with a given plan is lowered and run,
+    and every later one gets its own copy of that result (its own
+    dicts, its own ``strategy.describe()``).
 
-    Every batch runs on the quotient program — one interpreter rank per
-    execution group shared by *every point of the batch* — so a (B
-    points × N nodes) sweep costs (B × G) work.  When the partition
-    does not compress or the classifier declines its point-to-point
-    traffic (see :func:`repro.workloads.compile.classify_channels`),
-    the partition is the identity (G = N), exact by construction.
+    Each distinct plan runs once on its quotient program — one
+    interpreter rank per execution group (see :func:`_vector_partition`)
+    — through the same per-plan path as :func:`run_straightline`, using
+    the plan this call already lowered.  When the partition does not
+    compress or the classifier declines its point-to-point traffic (see
+    :func:`repro.workloads.compile.classify_channels`), the partition
+    is the identity (G = N), exact by construction.
 
     This is the one place a straightline decline is handled.  A point
     is declined when compiling the workload, lowering its plan, a
-    missing plan (dynamic strategy) or its single-point run raises
+    missing plan (dynamic strategy) or its run raises
     :class:`StraightlineUnsupported` or
     :class:`~repro.workloads.compile.CompileError`; it then runs once
     on ``run_workload(..., engine="event")`` with this call's
@@ -2982,17 +2166,12 @@ def run_batch(
     does.
 
     ``stats``, when given, accumulates tier telemetry: points measured
-    per tier (``quotient_points`` / ``scalar_points`` /
-    ``event_points``; a duplicate counts under the tier that served its
-    plan's first point, so they sum to ``len(points)``), ``splits``
-    (batch attempts abandoned on divergence, at most one per shape
-    group), and a ``fallback_reasons`` histogram with one code per
-    declined point and per batch attempt that did not run compressed
-    (the identity partition's reason, else the reason of a batch that
-    diverged).
+    per tier (``quotient_points`` / ``event_points``; a duplicate
+    counts under the tier that served its plan's first point, so they
+    sum to ``len(points)``), and a ``fallback_reasons`` histogram with
+    one code per declined point and per distinct plan that ran on the
+    identity partition.
     """
-    import numpy as np
-
     from repro.core.strategies.base import NoDvsStrategy
     from repro.hardware.network import NetworkParameters
     from repro.hardware.opoints import PENTIUM_M_TABLE
@@ -3003,27 +2182,19 @@ def run_batch(
     net = network_params if network_params is not None else NetworkParameters()
     points = [(s or NoDvsStrategy(), seed) for s, seed in points]
     results: list = [None] * len(points)
-    # Per point: the tier counter that served it, or its decline.
-    served: list = [None] * len(points)
 
-    def _note(key: str, n: int = 1) -> None:
+    def _note(key: str) -> None:
         if stats is not None:
-            stats[key] = stats.get(key, 0) + n
+            stats[key] = stats.get(key, 0) + 1
 
     def _note_reason(reason: Optional[str]) -> None:
         if stats is not None and reason:
             hist = stats.setdefault("fallback_reasons", {})
             hist[reason] = hist.get(reason, 0) + 1
 
-    def serve(key: str, idxs) -> None:
-        for i in idxs:
-            served[i] = key
-        _note(key, len(idxs))
-
     def decline(i: int, exc: Exception) -> None:
         from repro.core.framework import run_workload
 
-        served[i] = exc
         _note("event_points")
         _note_reason(_decline_reason(exc))
         strat, seed = points[i]
@@ -3042,9 +2213,10 @@ def run_batch(
             decline(i, exc)
         return results
 
-    groups: dict[tuple, list[int]] = {}
-    lowered: list = [None] * len(points)
-    same_plan: dict = {}  # gear plan -> its points, in input order
+    # Per plan: its points in input order, and the first one's result
+    # or decline.
+    same_plan: dict = {}
+    outcome: dict = {}
     for i, (strat, _seed) in enumerate(points):
         try:
             plan = strat.gear_plan(workload)
@@ -3061,103 +2233,29 @@ def run_batch(
         if len(holders) > 1:
             continue
         try:
-            low = _lower_gear_actions(compiled, plan, opoints)
-            low.start()  # a bad setup table declines before anything runs
+            lowered = _lower_gear_actions(compiled, plan, opoints)
+            m, reason, _groups = _run_plan(
+                workload, strat, compiled, lowered, net, power, opoints,
+                transition_latency_s,
+            )
         except _DECLINES as exc:
+            outcome[plan] = exc
             decline(i, exc)
             continue
-        groups.setdefault(low.shape, []).append(i)
-        lowered[i] = low
-
-    cost = workload.cost_model()
-
-    def scalar(i: int) -> None:
-        strat, seed = points[i]
-        try:
-            results[i] = run_straightline(
-                workload, strat, seed=seed, network_params=network_params,
-                power=power, opoints=opoints,
-                transition_latency_s=transition_latency_s,
-            )
-        except _DECLINES as exc:
-            decline(i, exc)
-            return
-        serve("scalar_points", [i])
-
-    def evaluate(idxs: list[int]) -> None:
-        if len(idxs) > 1:
-            try:
-                batch_measure(idxs)
-                return
-            except StraightlineUnsupported:
-                # Divergent control flow.  A retry on a smaller batch
-                # would restart from t = 0 and may diverge again; a
-                # scalar run per plan costs less.  The identity
-                # partition interprets the same lanes, so it would
-                # decline the same way.
-                _note("splits")
-        for i in idxs:
-            scalar(i)
-
-    def batch_measure(idxs: list[int]) -> None:
-        """Quotient-program batch: (B, G) work for a (B, N) sweep.
-
-        The execution partition must hold for *every* point of the
-        batch at once (one quotient program serves the whole batch),
-        so body groups are refined by each rank's start index and
-        lowered actions across all points.  Per-group results broadcast
-        to member nodes exactly as in :func:`_run_grouped`.
-        """
-        part, reason = _vector_partition(
-            compiled, list(zip(*(lowered[i].labels() for i in idxs)))
-        )
+        outcome[plan] = results[i] = m
+        _note("quotient_points")
         _note_reason(reason)
-        exec_of, members = part
-        start_idx, gear_actions = [], []
-        for r in (m[0] for m in members):
-            start_idx.append(np.array(
-                [lowered[i].start()[r] for i in idxs], dtype=np.intp
-            ))
-            rows = [lowered[i][r] for i in idxs]
-            gear_actions.append([
-                (pos, np.array([row[a][1] for row in rows], dtype=np.intp))
-                for a, (pos, _t) in enumerate(rows[0])
-            ])
-        ex = _BatchExecutor(
-            _quotient_program(compiled, exec_of, members), cost, net, power,
-            opoints, start_idx, gear_actions, transition_latency_s,
-            coll_n=workload.nprocs,
-        )
-        try:
-            t_end = ex.run()
-            trans, e_nodes, hists_g = _broadcast_groups(part, ex, t_end)
-        except StraightlineUnsupported as exc:
-            if reason is None:  # one decline code per batch attempt
-                _note_reason(getattr(exc, "reason", "unsupported"))
-            raise
-        for k, i in enumerate(idxs):
-            time_at = _merge_hists_nodewise(
-                workload.nprocs, members, [h[k] for h in hists_g]
-            )
-            results[i] = _measurement(
-                workload, points[i][0], t_end[k], e_nodes[:, k], time_at,
-                trans[k],
-            )
-        serve("quotient_points", idxs)
 
-    for idxs in groups.values():
-        evaluate(idxs)
-    for first, *later in same_plan.values():
-        how = served[first]
+    for plan, (_first, *later) in same_plan.items():
+        m = outcome[plan]
         for i in later:
-            if isinstance(how, Exception):
-                decline(i, how)
+            if isinstance(m, Exception):
+                decline(i, m)
                 continue
-            m = results[first]
             results[i] = dataclasses.replace(
                 m, strategy=points[i][0].describe(),
                 per_node_energy_j=dict(m.per_node_energy_j),
                 time_at_mhz=dict(m.time_at_mhz), extras=dict(m.extras),
             )
-            serve(how, [i])
+            _note("quotient_points")
     return results

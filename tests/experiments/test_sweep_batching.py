@@ -84,9 +84,9 @@ def test_batch_results_fill_cache_slots(tmp_path) -> None:
 
 
 def test_sweep_surfaces_structured_fallback_reasons() -> None:
-    # MG's xor-neighbor exchange crosses its body groups, so the batch
-    # tier's quotient probe declines with a typed code that must flow
-    # from run_batch telemetry into the runner's CacheStats.
+    # MG's xor-neighbor exchange crosses its body groups, so the
+    # quotient probe declines with a typed code that must flow from
+    # run_batch telemetry into the runner's CacheStats.
     mg = get_workload("MG", klass="T", nprocs=8)
     tasks = [
         RunTask(mg, ExternalStrategy(mhz=mhz), 0)
@@ -99,10 +99,9 @@ def test_sweep_surfaces_structured_fallback_reasons() -> None:
 
 
 def test_sweep_classified_p2p_never_declines_on_classification() -> None:
-    # CG's halo exchange classifies exactly: batches may still split on
-    # cross-point control divergence (and record `divergent_control` on
-    # the way), but no p2p decline code ever appears and every point is
-    # simulated on a vector tier — zero event-engine fallbacks.
+    # CG's halo exchange classifies exactly: no p2p decline code ever
+    # appears and every point runs on its quotient program — zero
+    # event-engine fallbacks.
     cg = get_workload("CG", klass="T", nprocs=8)
     tasks = [
         RunTask(cg, ExternalStrategy(mhz=mhz), 0)
@@ -145,22 +144,21 @@ def test_declined_controller_point_simulates_once(
 def test_declined_gear_plan_point_is_tried_once(
     monkeypatch, event_engine_runs
 ) -> None:
-    # MG's batch splits on divergent control down to a single 600 MHz
-    # point; when the fast tier refuses that point it runs once on the
-    # event engine inside run_batch, and the rest of the sweep stays on
-    # the fast tier.
+    # run_batch runs each of MG's three plans once; when the fast tier
+    # refuses the 600 MHz plan it runs once on the event engine inside
+    # run_batch, and the rest of the sweep stays on the fast tier.
     from repro.sim import straightline as sl
 
-    real = sl.run_straightline
+    real = sl._run_plan
     attempts: list[float] = []
 
-    def refuse_600(workload, strategy=None, **kwargs):
+    def refuse_600(workload, strategy, *args):
         attempts.append(strategy.mhz)
         if strategy.mhz == 600.0:
             raise sl.StraightlineUnsupported("refused for the test")
-        return real(workload, strategy, **kwargs)
+        return real(workload, strategy, *args)
 
-    monkeypatch.setattr(sl, "run_straightline", refuse_600)
+    monkeypatch.setattr(sl, "_run_plan", refuse_600)
     mg = get_workload("MG", klass="T", nprocs=8)
     tasks = [
         RunTask(mg, ExternalStrategy(mhz=mhz), 0)

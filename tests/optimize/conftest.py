@@ -16,8 +16,8 @@ class TwoGroupWorkload(Workload):
 
     Ranks in the lower half do more on-chip work than the upper half
     (two rank-equivalence groups); each step is a ``work`` compute
-    phase then a ``sync`` allreduce.  Collective-only traffic keeps it
-    on the quotient batch path.
+    phase then a ``sync`` allreduce.  Collective-only traffic keeps
+    every plan on its quotient program.
     """
 
     name = "T2"

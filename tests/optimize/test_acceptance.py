@@ -51,7 +51,7 @@ def shipped_candidates(code: str):
 )
 def test_computed_plan_beats_shipped_candidates(code, make_workload) -> None:
     res = optimize_gear_plan(make_workload(), delta=DELTA, stats=CacheStats())
-    # Both shapes score on the batch tier: FT has no p2p traffic and
+    # No candidate falls to the event engine: FT has no p2p traffic and
     # CG's halo exchange classifies into exact channel classes.
     assert res.telemetry.scalar_fallbacks == 0
     assert res.telemetry.batches > 0

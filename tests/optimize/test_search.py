@@ -206,9 +206,9 @@ def test_uncompilable_workload_searches_per_rank(
     two_group, three_gears, monkeypatch
 ) -> None:
     """A workload the compiler declines still optimizes — one group per
-    rank, scored per point on the event engine — and reports the scalar
-    fallback.  Both the search's probe and the straightline tier see
-    the refusal."""
+    rank, every candidate scored on the event engine inside
+    ``run_batch`` — and counts each in ``scalar_fallbacks``.  Both the
+    search's probe and the straightline tier see the refusal."""
     from repro.sim import straightline as sl
     from repro.workloads import compile as compile_mod
 
@@ -222,7 +222,7 @@ def test_uncompilable_workload_searches_per_rank(
         two_group, delta=0.08, opoints=three_gears, stats=CacheStats()
     )
     assert res.n_groups == 4  # one group per rank: no quotient known
-    assert res.telemetry.batches == 0
+    assert res.telemetry.batches >= 2  # the baseline, then the seeds
     assert res.telemetry.scalar_fallbacks == res.telemetry.candidates_evaluated
     cap = 1.08 * res.baseline.elapsed_s
     assert res.best.elapsed_s <= cap * (1 + 1e-9)

@@ -165,11 +165,6 @@ def test_group_lowering_matches_rank_walk(case) -> None:
     for a in range(len(lowered)):
         for b in range(a):
             assert (lowered[a] is lowered[b]) == (lowered[a] == lowered[b])
-    # the batch-grouping signature is equal iff every rank's hook
-    # positions are
-    positions = tuple(tuple(pos for pos, _t in row) for row in expected)
-    shapes, idx = lowered.shape
-    assert tuple(shapes[i] for i in idx) == positions
 
     try:
         start = reference_start(plan, PENTIUM_M_TABLE, compiled.nprocs)
@@ -180,34 +175,6 @@ def test_group_lowering_matches_rank_walk(case) -> None:
     assert lowered.start() == start
     old_keys = [(start[r], tuple(expected[r])) for r in range(compiled.nprocs)]
     assert (_vector_partition(compiled, lowered.labels())
-            == _vector_partition(compiled, old_keys))
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(cases(valid_calls), min_size=2, max_size=4))
-def test_multi_plan_partition_key_matches_rank_tuples(batch) -> None:
-    """``run_batch``'s key over distinct plans (row identities) gives
-    the partition of the per-rank tuples over every point."""
-    compiled = batch[0][0]
-    plans_ = [plan for c, plan in batch if c is compiled]
-    plans_ += plans_[:1]  # a repeated point
-    try:
-        expected = [reference_lowering(compiled, p, PENTIUM_M_TABLE)
-                    for p in plans_]
-        starts = [reference_start(p, PENTIUM_M_TABLE, compiled.nprocs)
-                  for p in plans_]
-    except (CompileError, StraightlineUnsupported):
-        return
-    lowered = [_lower_gear_actions(compiled, p, PENTIUM_M_TABLE)
-               for p in plans_]
-    distinct = list({id(low): low for low in lowered}.values())
-    keys = list(zip(*(low.labels() for low in distinct)))
-    old_keys = [
-        (tuple(s[r] for s in starts), tuple(tuple(e[r]) for e in expected))
-        for r in range(compiled.nprocs)
-    ]
-    assert (_vector_partition(compiled, keys)
             == _vector_partition(compiled, old_keys))
 
 

@@ -1,8 +1,9 @@
-"""Batched numpy evaluation (:func:`repro.sim.straightline.run_batch`).
+"""Many points of one workload per call (:func:`run_batch`).
 
 The contract: a batch returns one Measurement per (strategy, seed)
-point, in input order, each bit-for-bit equal to the scalar
-straightline run (and therefore to the event engine).
+point, in input order, each bit-for-bit equal to the single-point
+straightline run (and therefore to the event engine).  Each distinct
+gear plan is compiled, lowered and interpreted once per call.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.strategies.internal import (
 from repro.hardware.opoints import PENTIUM_M_TABLE
 from repro.optimize.plan import OptimalPlanStrategy
 from repro.sim.straightline import (
+    lowering_cache_counters,
     run_batch,
     run_straightline,
 )
@@ -66,7 +68,7 @@ def test_internal_rank_grid() -> None:
 
 
 def test_mixed_shapes_one_call() -> None:
-    # Different gear-plan shapes group separately but return in order.
+    # Plans of different kinds in one call return in input order.
     points = [
         (NoDvsStrategy(), 0),
         (ExternalStrategy(mhz=800.0), 0),
@@ -75,81 +77,6 @@ def test_mixed_shapes_one_call() -> None:
         (InternalStrategy(PhasePolicy({"alltoall"}, 800, 1200)), 1),
     ]
     assert_batch_matches_scalar(lambda: FT(klass="T", nprocs=4), points)
-
-
-def test_partially_masked_gear_events() -> None:
-    # Grouping a plan whose gear call is a no-op (low == high: the
-    # begin-phase call re-sets the current point) with one that really
-    # shifts gears produces gear events masked to part of the batch —
-    # the masked-out elements' integration must still match scalar bits.
-    import repro.sim.straightline as sl
-
-    executors = []
-    orig = sl._BatchExecutor.finalize
-
-    def spy(self, t_end):
-        executors.append(any(
-            ev[2] == sl._EV_GEAR and not ev[4].all()
-            for node in self.nodes
-            for ev in node.events
-        ))
-        return orig(self, t_end)
-
-    sl._BatchExecutor.finalize = spy
-    try:
-        points = [
-            (InternalStrategy(PhasePolicy({"alltoall"}, 600, 1400)), 0),
-            (InternalStrategy(PhasePolicy({"alltoall"}, 1400, 1400)), 0),
-        ]
-        assert_batch_matches_scalar(lambda: FT(klass="T", nprocs=4), points)
-    finally:
-        sl._BatchExecutor.finalize = orig
-    assert True in executors  # a partially masked gear event ran
-
-
-def test_masked_gear_event_is_no_boundary() -> None:
-    # An element a gear event is masked out of integrates as if the
-    # event were absent.  The event sits strictly between its
-    # neighbours, so splitting the interval there would round
-    # differently from the one whole-gap interval a lone run adds.
-    import numpy as np
-
-    import repro.sim.straightline as sl
-    from repro.hardware.network import NetworkParameters
-    from repro.hardware.opoints import PENTIUM_M_TABLE
-    from repro.hardware.power import NEMO_POWER
-    from repro.workloads.compile import compile_workload
-
-    workload = FT(klass="T", nprocs=4)
-    compiled = compile_workload(workload, PENTIUM_M_TABLE.fastest.frequency_hz)
-    seg = (1.0, 1.0, 0.0, 0.0)
-
-    def integrate(events):
-        B = len(events[0][0])
-        ex = sl._BatchExecutor(
-            compiled, workload.cost_model(), NetworkParameters(), NEMO_POWER,
-            PENTIUM_M_TABLE, [np.full(B, 2)] * 4, None, 20e-6,
-        )
-        T = np.stack([e[0] for e in events])
-        return ex._integrate_matrix(ex.nodes[0], events, T, np.full(B, 0.9))
-
-    def ev(times, seq, kind, payload=None, mask=None):
-        return (np.array(times), seq, kind, payload, mask)
-
-    batch = integrate([
-        ev([0.1, 0.1], 1, sl._EV_START, seg),
-        ev([0.2, 0.2], 2, sl._EV_GEAR, np.array([4, 2]),
-           np.array([True, False])),
-        ev([0.5, 0.5], 3, sl._EV_END),
-    ])
-    shifted = integrate([
-        ev([0.1], 1, sl._EV_START, seg),
-        ev([0.2], 2, sl._EV_GEAR, np.array([4]), np.array([True])),
-        ev([0.5], 3, sl._EV_END),
-    ])
-    lone = integrate([ev([0.1], 1, sl._EV_START, seg), ev([0.5], 3, sl._EV_END)])
-    assert batch[0][0] == shifted[0][0] and batch[1][0] == shifted[1][0]
-    assert batch[0][1] == lone[0][0] and batch[1][1] == lone[1][0]
 
 
 def test_none_strategy_is_nodvs() -> None:
@@ -191,61 +118,27 @@ def test_empty_batch_returns_empty_list() -> None:
 
 
 # ----------------------------------------------------------------------
-# Divergence and duplicate plans: each distinct plan is simulated once
+# Duplicate and diverging plans: each distinct plan is simulated once
 # ----------------------------------------------------------------------
-def spy_tiers(monkeypatch) -> tuple[list, list]:
-    """(``_BatchExecutor`` widths, ``run_straightline`` strategies), one
-    entry per executor construction / scalar run from here on."""
+def spy_executors(monkeypatch) -> list:
+    """One entry per ``_Executor`` construction from here on."""
     import repro.sim.straightline as sl
 
-    widths: list[int] = []
-    scalars: list = []
-    real_init = sl._BatchExecutor.__init__
-    real_scalar = sl.run_straightline
+    built: list = []
+    real_init = sl._Executor.__init__
 
-    def init(self, compiled, cost, net, power, opoints, start_idx, *args,
-             **kwargs):
-        widths.append(len(start_idx[0]))
-        real_init(self, compiled, cost, net, power, opoints, start_idx,
-                  *args, **kwargs)
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
 
-    def scalar(workload, strategy=None, **kwargs):
-        scalars.append(strategy)
-        return real_scalar(workload, strategy, **kwargs)
-
-    monkeypatch.setattr(sl._BatchExecutor, "__init__", init)
-    monkeypatch.setattr(sl, "run_straightline", scalar)
-    return widths, scalars
-
-
-def test_diverged_batch_runs_each_plan_once_on_scalar(monkeypatch) -> None:
-    # CG's split-speed plans reorder the rank schedule across gears, so
-    # their batch diverges.  It is abandoned once, not bisected: every
-    # plan then runs exactly once on the scalar tier.  The EXTERNAL
-    # plan is a shape group of its own and never builds an executor.
-    points = [
-        (InternalStrategy(RankPolicy.split(4, 1400, 600)), 0),
-        (InternalStrategy(RankPolicy.split(4, 1400, 800)), 0),
-        (ExternalStrategy(per_node_mhz=[1400.0] * 4 + [600.0] * 4), 0),
-        (InternalStrategy(RankPolicy.split(4, 600, 1400)), 0),
-    ]
-    refs = [run_straightline(CG(klass="T", nprocs=8), s, seed=seed)
-            for s, seed in points]
-    widths, scalars = spy_tiers(monkeypatch)
-    stats: dict = {}
-    batch = run_batch(CG(klass="T", nprocs=8), points, stats=stats)
-    assert widths == [3]
-    assert sorted(map(id, scalars)) == sorted(id(s) for s, _ in points)
-    assert stats["splits"] == 1
-    assert stats["scalar_points"] == 4
-    assert "quotient_points" not in stats
-    assert batch == refs
+    monkeypatch.setattr(sl._Executor, "__init__", init)
+    return built
 
 
 def test_duplicate_plans_are_simulated_once(monkeypatch) -> None:
-    # The seed cannot reach a straightline run: 3 plans x 4 seeds is a
-    # batch of 3, and each point still gets a result of its own.  The
-    # labels give equal plans different descriptions.
+    # The seed cannot reach a straightline run: 3 plans x 4 seeds build
+    # 3 interpreters, and each point still gets a result of its own.
+    # The labels give equal plans different descriptions.
     points = [
         (InternalStrategy(PhasePolicy({"alltoall"}, low, high),
                           label=f"{low}-{high}@{seed}"), seed)
@@ -254,11 +147,10 @@ def test_duplicate_plans_are_simulated_once(monkeypatch) -> None:
     ]
     refs = [run_straightline(FT(klass="T", nprocs=4), s, seed=seed)
             for s, seed in points]
-    widths, scalars = spy_tiers(monkeypatch)
+    built = spy_executors(monkeypatch)
     stats: dict = {}
     batch = run_batch(FT(klass="T", nprocs=4), points, stats=stats)
-    assert widths == [3]
-    assert not scalars
+    assert len(built) == 3
     assert stats["quotient_points"] == len(points)
     assert batch == refs
     assert len({id(m) for m in batch}) == len(batch)
@@ -271,16 +163,50 @@ def test_duplicate_plans_are_simulated_once(monkeypatch) -> None:
     assert batch[1].per_node_energy_j[node] == energy
 
 
+def test_diverging_plans_lower_and_compile_once(monkeypatch) -> None:
+    # CG's split-speed plans reorder the rank schedule across gears.
+    # Each plan is looked up in the lowering cache once and run once
+    # on its quotient program, and the workload compiles once per call.
+    import repro.sim.straightline as sl
+
+    points = [
+        (InternalStrategy(RankPolicy.split(4, 1400, 600)), 0),
+        (InternalStrategy(RankPolicy.split(4, 1400, 800)), 0),
+        (ExternalStrategy(per_node_mhz=[1400.0] * 4 + [600.0] * 4), 0),
+        (InternalStrategy(RankPolicy.split(4, 600, 1400)), 0),
+    ]
+    refs = [run_straightline(CG(klass="T", nprocs=8), s, seed=seed)
+            for s, seed in points]
+    compiles: list = []
+    real_compile = sl.compile_workload
+
+    def compile_spy(workload, hz):
+        compiles.append(workload)
+        return real_compile(workload, hz)
+
+    monkeypatch.setattr(sl, "compile_workload", compile_spy)
+    built = spy_executors(monkeypatch)
+    h0, m0 = lowering_cache_counters()
+    stats: dict = {}
+    batch = run_batch(CG(klass="T", nprocs=8), points, stats=stats)
+    h1, m1 = lowering_cache_counters()
+    assert (h1 - h0) + (m1 - m0) == len(points)
+    assert len(compiles) == 1
+    assert len(built) == len(points)
+    assert stats["quotient_points"] == len(points)
+    assert batch == refs
+
+
 def test_declined_duplicate_runs_event_engine_with_own_seed(
     monkeypatch, event_engine_runs
 ) -> None:
-    # When the scalar tier refuses a plan, every point holding it runs
+    # When the per-plan run refuses a plan, every point holding it runs
     # on the event engine with its own seed: event-engine results may
     # depend on the seed.
     import repro.core.framework as framework
     import repro.sim.straightline as sl
 
-    def refuse(workload, strategy=None, **kwargs):
+    def refuse(*args, **kwargs):
         raise sl.StraightlineUnsupported("refused for the test")
 
     seeds: list[int] = []
@@ -290,7 +216,7 @@ def test_declined_duplicate_runs_event_engine_with_own_seed(
         seeds.append(seed)
         return real_run(workload, strategy, seed=seed, **kwargs)
 
-    monkeypatch.setattr(sl, "run_straightline", refuse)
+    monkeypatch.setattr(sl, "_run_plan", refuse)
     monkeypatch.setattr(framework, "run_workload", run)
     strategy = ExternalStrategy(mhz=800.0)
     stats: dict = {}

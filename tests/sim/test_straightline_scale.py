@@ -138,8 +138,7 @@ def test_vector_matches_per_rank_scalar(code, kind) -> None:
 
 #: batches that fall to the identity partition, by decline code.
 IDENTITY_CASES = {
-    # MG's channels do not classify over its body groups.  Two distinct
-    # plans: run_batch simulates a repeated plan once, on the scalar tier.
+    # MG's channels do not classify over its body groups.
     "p2p_unclassifiable": (
         lambda: make("MG", 16),
         [(InternalStrategy(PhasePolicy({"norm"}, 600, 1400)), 0),
@@ -171,28 +170,25 @@ def test_identity_partition_runs_declined_plans(reason) -> None:
     batch = run_batch(make_workload(), points, stats=stats)
     assert batch == scalar
     assert stats["quotient_points"] == len(points)
-    assert stats.get("scalar_points", 0) == 0
-    assert "per_rank_points" not in stats
-    assert stats["fallback_reasons"] == {reason: 1}
+    assert "event_points" not in stats
+    assert stats["fallback_reasons"] == {reason: len(points)}
 
 
 def test_diverged_identity_batch_records_one_decline_code() -> None:
-    # MG at two speeds: the identity batch diverges and splits.  The
-    # attempt records its partition code only, once; the halves are
-    # scalar runs.
+    # MG at two speeds, whose schedules diverge: each plan runs once on
+    # the identity partition and records its partition code once.
     points = [(ExternalStrategy(mhz=800.0), 0), (ExternalStrategy(mhz=1200.0), 0)]
     stats: dict = {}
     batch = run_batch(make("MG", 16), points, stats=stats)
-    assert stats["fallback_reasons"] == {"p2p_unclassifiable": 1}
-    assert stats["splits"] == 1
-    assert stats["scalar_points"] == 2
-    assert "quotient_points" not in stats
+    assert stats["fallback_reasons"] == {"p2p_unclassifiable": 2}
+    assert stats["quotient_points"] == 2
+    assert "event_points" not in stats
     for (strategy, seed), measured in zip(points, batch):
         assert measured == run_straightline(make("MG", 16), strategy, seed=seed)
 
 
 # ----------------------------------------------------------------------
-# run_batch: the grouped (B × G) path returns per-point bits
+# run_batch: each plan's quotient run returns per-point bits
 # ----------------------------------------------------------------------
 def grid(workload):
     points = [
@@ -209,7 +205,7 @@ def grid(workload):
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
 @pytest.mark.parametrize("nprocs", [16, 64, 256])
 def test_batch_vector_matches_per_rank_batch(code, nprocs) -> None:
-    # Every point of the (B × G) batch equals its own scalar run.
+    # Every point of the batch equals its own single-point run.
     workload = make(code, nprocs)
     points = grid(workload)
     batch = run_batch(make(code, nprocs), points)

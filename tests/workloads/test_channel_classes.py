@@ -20,7 +20,6 @@ measurement must equal the event engine's with ``==`` on raw floats.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +32,6 @@ from repro.sim.straightline import (
     _Executor,
     run_straightline,
 )
-from repro.sim.straightline import _BatchExecutor
 from repro.workloads.base import NO_HOOKS, Workload
 from repro.workloads.compile import (
     classify_channels,
@@ -283,15 +281,3 @@ def test_scalar_grant_out_of_order_raises_with_reason() -> None:
     # a later request while the channel is busy is fine (FIFO order)
     assert _Executor._grant(None, chan, 1.5) == 2.0
 
-
-def test_batch_grant_out_of_order_raises_with_reason() -> None:
-    class _Shim:
-        np = np
-
-    class _BChanShim:
-        max_req = np.array([1.0, 0.0])
-        free = np.array([2.0, 0.0])
-
-    with pytest.raises(StraightlineUnsupported) as exc:
-        _BatchExecutor._grant(_Shim(), _BChanShim(), np.array([0.5, 3.0]))
-    assert exc.value.reason == "out_of_order_channel"
