@@ -77,11 +77,16 @@ def straightline_ineligibility(
     this is ``None``; the string says why the run goes straight to the
     event engine.  Faults are checked before the gear plan so a fault
     environment reports as such even when the strategy itself lowers.
+    A traced run qualifies only with a static gear plan
+    (:attr:`GearPlan.static`: no-DVS, EXTERNAL); a traced plan with
+    in-run DVS calls or a traced daemon reports "tracing requested".
     """
     if cluster is not None:
         return "caller-supplied cluster"
     if trace:
-        return "tracing requested"
+        plan = strategy.gear_plan(workload)
+        if plan is None or not plan.static:
+            return "tracing requested"
     if measurement_channels:
         return "measurement channels requested"
     if extra_hooks is not None:
@@ -119,10 +124,10 @@ def run_workload(
         (:meth:`Strategy.gear_plan` non-``None``) *or* a stateful
         sampled controller (:meth:`Strategy.controller` non-``None``;
         the CPUSPEED, predictive, β and power-cap daemons), no
-        faults/trace/channels, default cluster and hooks — and the
-        event engine otherwise, or when the fast tier declines the
-        run; the tiers produce bit-for-bit identical measurements on
-        the supported subset.  A zero-rate
+        faults/channels, default cluster and hooks, and tracing only
+        with a static plan — and the event engine otherwise, or when
+        the fast tier declines the run; the tiers produce bit-for-bit
+        identical measurements on the supported subset.  A zero-rate
         :class:`~repro.faults.spec.FaultSpec` (``is_noop()``) does not
         count as faults here: it provably injects nothing.
         ``"event"`` forces the event engine; any other value raises
@@ -140,7 +145,8 @@ def run_workload(
         always read.
     trace:
         Attach an MPE-like :class:`TraceLog` (returned on the
-        measurement).
+        measurement).  Both tiers record the same events per rank; see
+        :class:`TraceLog` for the order contract.
     cluster:
         Reuse a prepared cluster instead of building one (advanced; the
         cluster must be fresh — meters accumulate from construction).
@@ -180,6 +186,7 @@ def run_workload(
             power=power,
             opoints=opoints,
             transition_latency_s=transition_latency_s,
+            trace=trace,
         )
         if fast is not None:
             return fast

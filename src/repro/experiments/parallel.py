@@ -256,7 +256,10 @@ class ParallelRunner:
         the fast tiers decline finish on the event engine inside that
         call.  Every other miss (controller daemons, other dynamic
         strategies, live faults, ``engine="event"``, non-tier kwargs)
-        takes :meth:`map`'s per-point path, chunked for the pool.
+        takes :meth:`map`'s per-point path, chunked for the pool; such
+        a point records no decline reason in :attr:`stats`, even when
+        the sampled tier declines it (the telemetry-record item in
+        ROADMAP.md).
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")

@@ -375,10 +375,12 @@ class CacheStats:
     opt_pruned: int = 0
     opt_batches: int = 0
     opt_max_batch: int = 0
-    #: why runs paid event-engine or identity-partition cost: stable
-    #: reason code (``p2p_unclassifiable``, ``no_compression``,
-    #: ``dvs_in_flight``, …) → occurrence count, from controller-run
-    #: declines and ``run_batch``'s ``fallback_reasons`` alike.
+    #: why gear-plan points paid event-engine or identity-partition
+    #: cost: stable reason code (``p2p_unclassifiable``,
+    #: ``no_compression``, ``dvs_in_flight``, …) → occurrence count,
+    #: from ``run_batch``'s ``fallback_reasons`` only.  A declined
+    #: controller (daemon) point goes through ``map``'s per-point
+    #: ``run_workload`` and is counted nowhere.
     fallback_reasons: dict = dataclasses.field(default_factory=dict)
 
     def count_fallback(self, reason, n: int = 1) -> None:

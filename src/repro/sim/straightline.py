@@ -1,8 +1,8 @@
 """Straightline executor: static-gear runs without an event heap.
 
-For a run whose operating points never change (no-DVS baseline, the
-EXTERNAL strategy), fault-free and untraced, every quantity the event
-engine produces is a closed-form chain of float operations: segment end
+For a fault-free run whose operating points never change (no-DVS
+baseline, the EXTERNAL strategy), every quantity the event engine
+produces is a closed-form chain of float operations: segment end
 times are chained sums, per-node energy is a piecewise-constant
 integral over state-change breakpoints, and collectives complete a
 fixed duration after the last arrival.  This module evaluates a
@@ -27,6 +27,12 @@ The replication contract (pinned by
   ``Network._transfer`` over the engine's synchronous-grant
   :class:`Resource`;
 * collectives complete at ``max(arrival times) + collective_seconds``.
+
+A traced run of such a plan interprets every rank (the identity
+partition) and records what ``RankContext._trace`` would: per rank, the
+same events in the same order as the event engine's ``TraceLog``.
+Plans with in-run DVS calls and sampled daemons are traced by the
+event engine only.
 
 Anything whose timing the executor cannot order deterministically (a
 channel request arriving before one already granted, a rank-dependency
@@ -69,16 +75,31 @@ __all__ = [
 class StraightlineUnsupported(RuntimeError):
     """The run cannot be evaluated on the straightline tier.
 
-    Raised when the configuration is ineligible (dynamic strategy,
-    faults, tracing) or when execution hits an ordering the direct
-    accumulator cannot reproduce deterministically.  Callers fall back
-    to the event engine: :func:`run_batch` runs the point once on it.
+    Raised when the configuration is ineligible (dynamic strategy, a
+    traced run with in-run DVS calls) or when execution hits an
+    ordering the direct accumulator cannot reproduce deterministically.
+    Callers fall back to the event engine: :func:`run_batch` runs the
+    point once on it.
 
-    ``reason`` is a stable telemetry code (``dvs_in_flight``,
-    ``out_of_order_channel``, ``deadlock``, ``wait_order``,
-    ``no_plan``, or the generic ``unsupported``)
-    suitable for per-reason fallback counters; the message stays the
-    human-readable diagnosis.
+    ``reason`` is a stable telemetry code suitable for per-reason
+    fallback counters; the message stays the human-readable diagnosis:
+
+    * ``dvs_in_flight`` — a lowered DVS call while a segment is queued;
+    * ``out_of_order_channel`` — a network channel demand earlier than
+      one already granted;
+    * ``deadlock`` — no rank can run;
+    * ``wait_order`` — a wait resolved before its block point;
+    * ``no_plan`` — the strategy has neither gear plan nor controller;
+    * ``plan_mismatch`` — a per-node start table of the wrong length;
+    * ``trace_unsupported`` — a traced run whose plan is not static;
+    * ``bad_controller`` — a sampled controller this tier cannot drive
+      (poll interval, observation kind, missing hooks, start index);
+    * ``poll_tick_collision`` — a sampled run's segment, activity or
+      rank event lands exactly on a poll tick;
+    * ``unsupported`` — the generic default.
+
+    A :class:`~repro.workloads.compile.CompileError` counts as
+    ``compile_error``.
     """
 
     def __init__(self, message: str, reason: str = "unsupported") -> None:
@@ -104,6 +125,10 @@ _EV_PUSH = 2  # push a wait-state token: payload (act, busy, mem, nic)
 _EV_POP = 3  # pop the topmost matching wait-state token
 _EV_TOUCH = 4  # accounting boundary only (DVS call overhead stall)
 _EV_GEAR = 5  # operating-point change: payload (new opoint, new mhz)
+
+#: trace label of a WAIT, by request kind (REQ_SEND, REQ_RECV) and by
+#: its blocking flag: ``isend``/``irecv`` + ``wait`` or ``send``/``recv``.
+_WAIT_OPS = (("wait_send", "send"), ("wait_recv", "recv"))
 
 
 _LISTS_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -190,7 +215,8 @@ class _LoweredPlan(tuple):
             if plan.start_mhz_per_rank is not None:
                 if len(plan.start_mhz_per_rank) != n:
                     # The scalar path's strategy.setup raises the real error.
-                    raise StraightlineUnsupported("per-node plan length mismatch")
+                    raise StraightlineUnsupported("per-node plan length mismatch",
+                                                  reason="plan_mismatch")
                 self._start = [opoints.index_of(opoints.by_mhz(m))
                                for m in plan.start_mhz_per_rank]
             elif plan.start_mhz is not None:
@@ -343,7 +369,7 @@ class _Executor:
                  nodes: list[_Node], opoints=None,
                  gear_actions: Optional[list[list[tuple]]] = None,
                  transition_latency_s: float = 20e-6,
-                 coll_n: Optional[int] = None) -> None:
+                 coll_n: Optional[int] = None, trace=None) -> None:
         self.c = compiled
         self.cost = cost
         self.net = net_params
@@ -405,6 +431,13 @@ class _Executor:
         self._send_cycles = cost.send_cycles
         self._recv_cycles = cost.recv_cycles
         self._p2p_wire_bytes = cost.p2p_wire_bytes
+        if trace is not None:
+            # Chosen once per executor: an untraced run keeps the bare
+            # _step, with no per-op test for tracing.
+            self._record = trace.record
+            self._issued = [0.0] * self.n
+            self._step_untraced = self._step
+            self._step = self._traced_step
 
     # ------------------------------------------------------------------
     # breakpoint emission + the CPU FIFO
@@ -694,6 +727,35 @@ class _Executor:
             self._start_wait(r, r.rbase + r.iargs[pc])
         else:  # OP_COLLECTIVE
             self._start_collective(r)
+
+    def _traced_step(self, r: _Rank) -> None:
+        """:meth:`_step`, then the engine tracer's record of the op it
+        completed (``RankContext._trace``): ``compute``, ``idle``, a
+        wait under its label and a collective under its kind, each from
+        the time the rank issued it.  ISEND/IRECV record nothing."""
+        pc = r.pc
+        if r.phase == "op":
+            self._issued[r.rank] = r.t
+        self._step_untraced(r)
+        if r.pc == pc:
+            return
+        code = r.ops[pc]
+        if code == OP_ISEND or code == OP_IRECV:
+            return
+        t0 = self._issued[r.rank]
+        if code == OP_COMPUTE:
+            self._record(r.rank, "compute", t0, r.t)
+        elif code == OP_IDLE:
+            self._record(r.rank, "idle", t0, r.t)
+        elif code == OP_WAIT:
+            req_id = r.rbase + r.iargs[pc]
+            kind = self.req_kind[req_id]
+            msg_id = self.req_match[req_id] if kind == REQ_RECV else req_id
+            self._record(r.rank, _WAIT_OPS[kind][r.fargs[pc][0] != 0.0], t0,
+                         r.t, self.req_nbytes[msg_id], self.req_peer[req_id])
+        else:  # OP_COLLECTIVE
+            self._record(r.rank, self.c.coll_kinds[r.iargs[pc]], t0, r.t,
+                         r.fargs[pc][0])
 
     def _post_recv(self, r: _Rank, req_id: int) -> None:
         self.posted_t[req_id] = r.t
@@ -1067,19 +1129,22 @@ class _SampledExecutor(_Executor):
                          transition_latency_s=transition_latency_s)
         interval = controller.interval_s
         if interval <= 0:
-            raise StraightlineUnsupported("non-positive poll interval")
+            raise StraightlineUnsupported("non-positive poll interval",
+                                          reason="bad_controller")
         self.interval = interval
         observes = controller.observes
         if observes not in ("busy", "cycles", "power"):
             raise StraightlineUnsupported(
-                f"unknown controller observation {observes!r}"
+                f"unknown controller observation {observes!r}",
+                reason="bad_controller",
             )
         self.observes = observes
         make = controller.make
         make_global = controller.make_global
         if make is None and make_global is None:
             raise StraightlineUnsupported(
-                "controller has neither per-node nor global form"
+                "controller has neither per-node nor global form",
+                reason="bad_controller",
             )
         self.ctrls = (
             [make() for _ in range(self.n)] if make is not None else None
@@ -1099,7 +1164,8 @@ class _SampledExecutor(_Executor):
                     self._ctrl_carries = [c.carry for c in self.ctrls]
             except AttributeError as exc:
                 raise StraightlineUnsupported(
-                    f"controller misses a required hook: {exc}"
+                    f"controller misses a required hook: {exc}",
+                    reason="bad_controller",
                 ) from exc
             for c in self.ctrls:
                 bind = getattr(c, "bind", None)
@@ -1393,7 +1459,8 @@ class _SampledExecutor(_Executor):
         rec = segs[k]
         if rec.end == t:
             raise StraightlineUnsupported(
-                "segment boundary collides with poll tick"
+                "segment boundary collides with poll tick",
+                reason="poll_tick_collision",
             )
         if rec.start <= t and rec.planned > 0:
             elapsed = t - rec.scheduled_at
@@ -1417,7 +1484,8 @@ class _SampledExecutor(_Executor):
         for i in node.carry:
             if events[i][0] == t:
                 raise StraightlineUnsupported(
-                    "activity boundary collides with poll tick"
+                    "activity boundary collides with poll tick",
+                    reason="poll_tick_collision",
                 )
         idle = self.power.cpu_idle_activity
         active = node.b_active
@@ -1469,7 +1537,8 @@ class _SampledExecutor(_Executor):
                 # The engine orders the completion vs. the poll by
                 # event id; this tier cannot reproduce that tie.
                 raise StraightlineUnsupported(
-                    "segment boundary collides with poll tick"
+                    "segment boundary collides with poll tick",
+                    reason="poll_tick_collision",
                 )
             k += 1
         node.seg_lo = k
@@ -1478,7 +1547,8 @@ class _SampledExecutor(_Executor):
         first = segs[k]
         if first.start == t:
             raise StraightlineUnsupported(
-                "segment boundary collides with poll tick"
+                "segment boundary collides with poll tick",
+                reason="poll_tick_collision",
             )
         events = node.events
         r = self.ranks[n_idx]
@@ -1659,7 +1729,8 @@ class _SampledExecutor(_Executor):
             if best is not None and best_nt == horizon:
                 # Engine event-id order decides poll-vs-resume; bail.
                 raise StraightlineUnsupported(
-                    "rank event collides with poll tick"
+                    "rank event collides with poll tick",
+                    reason="poll_tick_collision",
                 )
             if self._process_due():
                 continue
@@ -1715,6 +1786,7 @@ def run_straightline(
     opoints=None,
     transition_latency_s: float = 20e-6,
     stats=None,
+    trace: bool = False,
 ):
     """Measure a static- or piecewise-static-gear run on this tier.
 
@@ -1736,11 +1808,19 @@ def run_straightline(
     partition is the identity (one rank per group), which is exact by
     construction.
 
+    ``trace=True`` attaches the :class:`~repro.trace.events.TraceLog`
+    the event engine would record (see its docstring for the order
+    contract).  Only a static plan (:attr:`GearPlan.static`: no in-run
+    DVS call) traces here, always on the identity partition so each
+    rank records its own events; any other traced run raises with
+    ``reason="trace_unsupported"``.
+
     ``stats``, when a dict, receives tier telemetry:
     ``reduction_ticks`` (poll/reduction ticks of a stateful-controller
     run); for gear-plan runs ``fallback_reason`` (the code for why the
-    run fell to the identity partition, else ``None``) and ``groups``
-    (execution group count; = nprocs on the identity).
+    run fell to the identity partition, else ``None``; ``None`` on a
+    traced run) and ``groups`` (execution group count; = nprocs on the
+    identity).
     """
     import numpy as np
 
@@ -1759,6 +1839,11 @@ def run_straightline(
                 "strategy has no static gear plan (dynamic DVS)",
                 reason="no_plan",
             )
+    if trace and (controller is not None or not plan.static):
+        raise StraightlineUnsupported(
+            "traced run with in-run DVS calls or a daemon",
+            reason="trace_unsupported",
+        )
     power = NEMO_POWER if power is None else power
     opoints = PENTIUM_M_TABLE if opoints is None else opoints
     net = network_params if network_params is not None else NetworkParameters()
@@ -1779,7 +1864,8 @@ def run_straightline(
             start_idx = controller.start_index(opoints, power, workload.nprocs)
             if not 0 <= start_idx <= max_idx:
                 raise StraightlineUnsupported(
-                    f"controller start index {start_idx} out of range"
+                    f"controller start index {start_idx} out of range",
+                    reason="bad_controller",
                 )
         op = opoints[start_idx]
         stall = transition_latency_s if start_idx != max_idx else 0.0
@@ -1802,9 +1888,14 @@ def run_straightline(
         )
 
     lowered = _lower_gear_actions(compiled, plan, opoints)
+    log = None
+    if trace:
+        from repro.trace.events import TraceLog
+
+        log = TraceLog()
     measurement, fallback_reason, groups = _run_plan(
         workload, strategy, compiled, lowered, net, power, opoints,
-        transition_latency_s,
+        transition_latency_s, trace=log,
     )
     if stats is not None:
         stats["fallback_reason"] = fallback_reason
@@ -1834,7 +1925,7 @@ def _start_nodes(opoints, start_idx, transition_latency_s) -> list[_Node]:
 
 
 def _measurement(workload, strategy, elapsed_s, energies, time_at,
-                 transitions):
+                 transitions, trace=None):
     """The tier's :class:`Measurement` of one run.
 
     ``energies`` is the (N,) per-node energy column; ``energy_j`` sums
@@ -1854,7 +1945,7 @@ def _measurement(workload, strategy, elapsed_s, energies, time_at,
         time_at_mhz=time_at,
         acpi_energy_j=None,
         baytech_energy_j=None,
-        trace=None,
+        trace=trace,
         report=None,
         extras={},
     )
@@ -1869,6 +1960,7 @@ def try_run_straightline(
     opoints=None,
     transition_latency_s: float = 20e-6,
     stats=None,
+    trace: bool = False,
 ):
     """Like :func:`run_straightline` but returns ``None`` on fallback.
 
@@ -1887,6 +1979,7 @@ def try_run_straightline(
             opoints=opoints,
             transition_latency_s=transition_latency_s,
             stats=stats,
+            trace=trace,
         )
     except _DECLINES as exc:
         if stats is not None:
@@ -2065,7 +2158,8 @@ def _merge_hists_nodewise(nprocs: int, members: list[list[int]],
 
 
 def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
-                 opoints, actions: _LoweredPlan, transition_latency_s: float):
+                 opoints, actions: _LoweredPlan, transition_latency_s: float,
+                 trace=None):
     """Evaluate a static/piecewise-static run on the quotient program.
 
     ``part`` is the ``(exec_of, members)`` execution partition.
@@ -2077,6 +2171,9 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
     collective completions and classified channel lanes, and ``max``
     over the distinct per-group values equals ``max`` over the full
     rank set bit-for-bit (the result is always an operand).
+
+    ``trace``, a :class:`~repro.trace.events.TraceLog`, records every
+    interpreted rank's events; pass it only with the identity partition.
 
     Returns ``(t_end, e_nodes, time_at, transitions)`` with ``e_nodes``
     an (N,) array of per-node energies.
@@ -2092,6 +2189,7 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
         _quotient_program(compiled, exec_of, members), cost, net, power,
         nodes, opoints=opoints, gear_actions=[actions[r] for r in reps],
         transition_latency_s=transition_latency_s, coll_n=compiled.nprocs,
+        trace=trace,
     )
     t_end = ex.run()
     energies_g, hists_g = ex.finalize(t_end)
@@ -2104,7 +2202,7 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
 
 def _run_plan(workload, strategy, compiled: CompiledProgram,
               lowered: _LoweredPlan, net, power, opoints,
-              transition_latency_s: float):
+              transition_latency_s: float, trace=None):
     """Measure one lowered gear plan on its quotient program.
 
     The one per-plan path of :func:`run_straightline` and
@@ -2112,16 +2210,23 @@ def _run_plan(workload, strategy, compiled: CompiledProgram,
     ``reason`` is the partition's decline code (``None`` when it
     compresses exactly, else why the run fell to the identity) and
     ``groups`` the execution group count (= nprocs on the identity).
-    Raises :class:`StraightlineUnsupported` when the interpreter hits
-    an ordering it cannot reproduce.
+    A traced run (``trace`` a :class:`~repro.trace.events.TraceLog`)
+    skips the partition and runs on the identity with ``reason``
+    ``None``: every rank then records its own events.  Raises
+    :class:`StraightlineUnsupported` when the interpreter hits an
+    ordering it cannot reproduce.
     """
-    part, reason = _vector_partition(compiled, lowered.labels())
+    if trace is None:
+        part, reason = _vector_partition(compiled, lowered.labels())
+    else:
+        n = compiled.nprocs
+        part, reason = (list(range(n)), [[r] for r in range(n)]), None
     t_end, e_nodes, time_at, transitions = _run_grouped(
         compiled, part, workload.cost_model(), net, power, opoints, lowered,
-        transition_latency_s,
+        transition_latency_s, trace=trace,
     )
     measurement = _measurement(workload, strategy, t_end, e_nodes, time_at,
-                               transitions)
+                               transitions, trace=trace)
     return measurement, reason, len(part[1])
 
 

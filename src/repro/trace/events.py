@@ -57,6 +57,17 @@ class TraceLog:
 
     Implements the tracer protocol the communicator expects:
     ``record(rank, op, t_begin, t_end, nbytes, peer)``.
+
+    Order contract: the events of one rank, taken in log order, are
+    that rank's operations in program order, and both simulation tiers
+    (the event engine and :mod:`repro.sim.straightline`) record them
+    bit-equal.  How the events of *different* ranks interleave in
+    ``events`` differs between the tiers and carries no meaning: even
+    sorted by ``t_end``, two tiers' logs can disagree.  Consumers read
+    per-rank order only (:meth:`for_rank`, as
+    :func:`~repro.trace.stats.analyze`,
+    :func:`~repro.trace.jumpshot.render_timeline` and the phase
+    profiler do).
     """
 
     def __init__(self) -> None:

@@ -73,7 +73,7 @@ OP_COMPUTE = 0  #: f = (cycles, offchip_s, activity, busy, mem, nic)
 OP_IDLE = 1  #: f0 = seconds
 OP_ISEND = 2  #: i0 = request id
 OP_IRECV = 3  #: i0 = request id
-OP_WAIT = 4  #: i0 = request id
+OP_WAIT = 4  #: i0 = request id; f0 = 1.0 for a blocking send()/recv()
 OP_COLLECTIVE = 5  #: i0 = call-site seq; f0 = wire bytes, f1 = copy bytes
 
 #: request-kind codes in the request table.
@@ -236,7 +236,16 @@ class _RecordingContext:
             # A rank-local index cannot address another rank's request;
             # the event engine surfaces the genuine misuse.
             raise CompileError("wait() on another rank's request")
-        self._ops.append((OP_WAIT, request.req_id - self._req_base, _NO_F))
+        # The engine traces a blocking send()/recv() under the op's own
+        # name and any other wait as wait_<kind>; the flag keeps the two
+        # apart after both lower to ISEND/IRECV + WAIT.
+        if _op is None or _op == f"wait_{request.kind}":
+            f = _NO_F
+        elif _op == request.kind:
+            f = _BLOCKING_F
+        else:
+            raise CompileError(f"wait() trace label {_op!r} is not recordable")
+        self._ops.append((OP_WAIT, request.req_id - self._req_base, f))
         return request.message
         yield  # pragma: no cover
 
@@ -252,7 +261,7 @@ class _RecordingContext:
 
     def send(self, dst: int, nbytes: float, tag: int = 0) -> Generator:
         req = self.isend(dst, nbytes, tag)
-        yield from self.wait(req)
+        yield from self.wait(req, _op="send")
         return req.message
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
@@ -314,6 +323,7 @@ class _RecordingContext:
 
 
 _NO_F = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_BLOCKING_F = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class _MarkerHooks(PhaseHooks):

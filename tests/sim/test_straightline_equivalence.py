@@ -1,9 +1,9 @@
 """Differential tests: straightline tier ≡ event engine, bit for bit.
 
 The straightline executor promises *exact* reproduction of the event
-engine's arithmetic on its supported subset (static gears, no faults,
-no tracing).  Every comparison here is ``==`` on raw floats — no
-tolerances.
+engine's arithmetic on its supported subset (static or lowered gear
+plans, no faults; tracing only for plans with no in-run DVS call).
+Every comparison here is ``==`` on raw floats — no tolerances.
 """
 
 from __future__ import annotations
@@ -175,8 +175,16 @@ def test_faults_fall_back(monkeypatch) -> None:
 
 
 def test_trace_falls_back(monkeypatch) -> None:
-    m = _event_only(monkeypatch, trace=True)
-    assert m.trace is not None
+    # Only a static plan traces on the fast tier (see
+    # test_straightline_trace.py): a traced plan with in-run DVS calls,
+    # or a traced daemon, stays on the event engine.
+    from repro.core.strategies.internal import InternalStrategy, RankPolicy
+
+    internal = InternalStrategy(RankPolicy.split(2, 1400.0, 800.0))
+    assert not internal.gear_plan(WORKLOADS["CG"]()).static
+    for strategy in (internal, CpuspeedDaemonStrategy()):
+        m = _event_only(monkeypatch, strategy=strategy, trace=True)
+        assert m.trace is not None and len(m.trace) > 0
 
 
 def test_channels_fall_back(monkeypatch) -> None:
@@ -223,6 +231,22 @@ def test_auto_consults_fast_tier(monkeypatch) -> None:
 
     run_workload(WORKLOADS["EP"](), BetaDaemonStrategy())
     assert calls == ["EP"]  # stateful controllers consult the tier too
+
+
+def test_plan_mismatch_is_typed() -> None:
+    # A per-node start table shorter than the job declines with its
+    # own code, not the generic "unsupported".
+    from repro.core.strategies.base import GearPlan, Strategy
+
+    class Short(Strategy):
+        name = "short-table"
+
+        def gear_plan(self, workload):
+            return GearPlan(start_mhz_per_rank=(800.0,))
+
+    stats: dict = {}
+    assert try_run_straightline(WORKLOADS["CG"](), Short(), stats=stats) is None
+    assert stats["fallback_reason"] == "plan_mismatch"
 
 
 def test_unrecordable_program_returns_none() -> None:

@@ -152,6 +152,28 @@ def test_non_positive_interval_rejected() -> None:
         run_straightline(_workload("FT"), ZeroInterval())
 
 
+def test_decline_codes_are_typed() -> None:
+    # The sampled tier's declines carry stable codes, not the generic
+    # "unsupported": FT.C.8 under CPUSPEED (the campaign's one sampled
+    # decline) and a malformed controller.
+    from repro.sim.straightline import try_run_straightline
+
+    class ZeroInterval(CpuspeedDaemonStrategy):
+        def controller(self) -> SampledController:
+            inner = super().controller()
+            return SampledController(interval_s=0.0, make=inner.make)
+
+    cases = [
+        (get_workload("FT", klass="C", nprocs=8), CpuspeedDaemonStrategy(),
+         "poll_tick_collision"),
+        (_workload("FT"), ZeroInterval(), "bad_controller"),
+    ]
+    for workload, strategy, code in cases:
+        stats: dict = {}
+        assert try_run_straightline(workload, strategy, stats=stats) is None
+        assert stats["fallback_reason"] == code
+
+
 # ----------------------------------------------------------------------
 # cache identity: the tier must not perturb the measurement store
 # ----------------------------------------------------------------------

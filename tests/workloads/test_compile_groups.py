@@ -174,3 +174,45 @@ def test_ungrouped_program_defaults() -> None:
     compiled = _compile([(1.0,), (2.0,)])
     object.__setattr__(compiled, "group_members", ())
     assert compiled.n_groups == compiled.nprocs
+
+
+# ----------------------------------------------------------------------
+# the NPB partitions are pinned: a change to what a recorded op stores
+# (e.g. WAIT's operands) must not split or merge any rank group
+# ----------------------------------------------------------------------
+#: code -> [(N, n_groups, sha256(repr(group_of.tolist()))[:12])] at
+#: class T, for each N in {4, 8, 9, 16, 64} the code accepts.
+NPB_GROUPS = {
+    "BT": [(4, 3, "3c4a3050de9c"), (9, 9, "b4fd587ed6b9"), (16, 9, "dc0d3d46d8b0"), (64, 34, "fac3fd295f7c")],
+    "CG": [(4, 2, "6471b342ae3c"), (8, 2, "f919733d549a"), (16, 2, "02b88daafff6"), (64, 2, "4f096064c01a")],
+    "EP": [(4, 1, "a90d007c2fc5"), (8, 1, "c14bc7d02c76"), (9, 1, "aff24e189140"), (16, 1, "90b44c0fdcab"), (64, 1, "76b25cdd1535")],
+    "FT": [(4, 1, "a90d007c2fc5"), (8, 1, "c14bc7d02c76"), (9, 1, "aff24e189140"), (16, 1, "90b44c0fdcab"), (64, 1, "76b25cdd1535")],
+    "IS": [(4, 1, "a90d007c2fc5"), (8, 1, "c14bc7d02c76"), (9, 1, "aff24e189140"), (16, 1, "90b44c0fdcab"), (64, 1, "76b25cdd1535")],
+    "LU": [(4, 1, "a90d007c2fc5"), (8, 1, "c14bc7d02c76"), (9, 1, "aff24e189140"), (16, 1, "90b44c0fdcab"), (64, 1, "76b25cdd1535")],
+    "MG": [(4, 3, "3c4a3050de9c"), (8, 5, "157cd8a8ffb8"), (16, 10, "1ebf9b8f02a0"), (64, 34, "ca125666005f")],
+    "SP": [(4, 1, "a90d007c2fc5"), (9, 1, "aff24e189140"), (16, 1, "90b44c0fdcab"), (64, 1, "76b25cdd1535")],
+}
+
+
+def test_npb_rank_groups_pinned() -> None:
+    import hashlib
+
+    from repro.workloads import get_workload
+    from repro.workloads.compile import CompileError
+    from repro.workloads.npb import ALL_CODES
+
+    assert sorted(NPB_GROUPS) == sorted(ALL_CODES)
+    for code, pinned in NPB_GROUPS.items():
+        seen = []
+        for n in (4, 8, 9, 16, 64):
+            try:
+                compiled = compile_workload(
+                    get_workload(code, klass="T", nprocs=n), FASTEST_HZ
+                )
+            except (ValueError, CompileError):
+                continue  # the code does not run at this N
+            digest = hashlib.sha256(
+                repr(compiled.group_of.tolist()).encode()
+            ).hexdigest()[:12]
+            seen.append((n, compiled.n_groups, digest))
+        assert seen == pinned, code
