@@ -95,17 +95,24 @@ class _RecordedMessage:
 
 
 class _RecordedRequest:
-    """Static stand-in for :class:`repro.mpi.communicator.Request`."""
+    """Static stand-in for :class:`repro.mpi.communicator.Request`.
 
-    __slots__ = ("req_id", "kind", "peer", "tag", "nbytes", "message")
+    Only :meth:`_RecordingContext.isend`/``irecv`` create these (user
+    programs hold and wait on them); the request table itself is the
+    recorder's columns.  ``local`` is the rank-local request index.
+    """
 
-    def __init__(self, req_id: int, kind: str, peer: int, tag: int, nbytes: float) -> None:
-        self.req_id = req_id
+    __slots__ = ("owner", "local", "kind", "peer", "tag", "nbytes", "message")
+
+    def __init__(self, owner: int, local: int, kind: str, peer: int, tag: int,
+                 nbytes: float, message: Optional[_RecordedMessage] = None) -> None:
+        self.owner = owner
+        self.local = local
         self.kind = kind
         self.peer = peer
         self.tag = tag
         self.nbytes = nbytes
-        self.message: Optional[_RecordedMessage] = None
+        self.message = message
 
 
 class _RecordingContext:
@@ -130,14 +137,17 @@ class _RecordingContext:
         self.size = size
         self._cost = cost
         self._fastest_hz = fastest_hz
-        self._coll_seq = 0
         self._ops: list[tuple] = []
+        #: hook sites ``(op position, kind, phase)``, see :class:`_MarkerHooks`
+        self._markers: list[tuple[int, str, str]] = []
+        #: collective kinds in call-site order (the op stores the seq)
+        self._coll_kinds: list[str] = []
         # Ranks record sequentially, so this rank's requests occupy the
         # contiguous global id block starting here.  The ops stream
         # stores *rank-local* request indices (global = base + local):
         # symmetric ranks then record byte-identical op streams and can
         # share one packed program body.
-        self._req_base = len(recorder.requests)
+        self._req_base = len(recorder.req_kind)
         # The real context exposes these counters; static programs may
         # read (never usefully write) them.
         self.dvs_calls = 0
@@ -205,34 +215,42 @@ class _RecordingContext:
     # ------------------------------------------------------------------
     # point-to-point
     # ------------------------------------------------------------------
-    def isend(self, dst: int, nbytes: float, tag: int = 0) -> _RecordedRequest:
+    def _check_send(self, dst: int, nbytes: float) -> None:
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range")
         if nbytes < 0:
             raise ValueError("message size must be non-negative")
-        eager = self._cost.is_eager(nbytes)
-        req = self._recorder.new_request("send", self.rank, dst, tag, float(nbytes))
-        req.message = _RecordedMessage(self.rank, dst, tag, float(nbytes), eager)
-        self._ops.append((OP_ISEND, req.req_id - self._req_base, _NO_F))
-        return req
 
-    def irecv(
-        self, src: int = ANY_SOURCE, tag: int = ANY_TAG, nbytes_hint: float = 0.0
-    ) -> _RecordedRequest:
+    def _check_recv(self, src: int, tag: int) -> None:
         if src == ANY_SOURCE:
             raise CompileError("wildcard receive (ANY_SOURCE) is not static")
         if tag == ANY_TAG:
             raise CompileError("wildcard receive (ANY_TAG) is not static")
         if not 0 <= src < self.size:
             raise ValueError(f"source rank {src} out of range")
-        req = self._recorder.new_request("recv", self.rank, src, tag, float(nbytes_hint))
-        self._ops.append((OP_IRECV, req.req_id - self._req_base, _NO_F))
-        return req
+
+    def isend(self, dst: int, nbytes: float, tag: int = 0) -> _RecordedRequest:
+        self._check_send(dst, nbytes)
+        eager = self._cost.is_eager(nbytes)
+        nbytes = float(nbytes)
+        local = self._recorder.add(REQ_SEND, self.rank, dst, tag, nbytes, eager) - self._req_base
+        self._ops.append((OP_ISEND, local, _NO_F))
+        return _RecordedRequest(self.rank, local, "send", dst, tag, nbytes,
+                                _RecordedMessage(self.rank, dst, tag, nbytes, eager))
+
+    def irecv(
+        self, src: int = ANY_SOURCE, tag: int = ANY_TAG, nbytes_hint: float = 0.0
+    ) -> _RecordedRequest:
+        self._check_recv(src, tag)
+        nbytes = float(nbytes_hint)
+        local = self._recorder.add(REQ_RECV, self.rank, src, tag, nbytes, False) - self._req_base
+        self._ops.append((OP_IRECV, local, _NO_F))
+        return _RecordedRequest(self.rank, local, "recv", src, tag, nbytes)
 
     def wait(self, request: _RecordedRequest, _op: Optional[str] = None) -> Generator:
         if not isinstance(request, _RecordedRequest):
             raise CompileError("wait() on a foreign request object")
-        if self._recorder.req_owner[request.req_id] != self.rank:
+        if request.owner != self.rank:
             # A rank-local index cannot address another rank's request;
             # the event engine surfaces the genuine misuse.
             raise CompileError("wait() on another rank's request")
@@ -245,7 +263,7 @@ class _RecordingContext:
             f = _BLOCKING_F
         else:
             raise CompileError(f"wait() trace label {_op!r} is not recordable")
-        self._ops.append((OP_WAIT, request.req_id - self._req_base, f))
+        self._ops.append((OP_WAIT, request.local, f))
         return request.message
         yield  # pragma: no cover
 
@@ -272,18 +290,29 @@ class _RecordingContext:
     def sendrecv(
         self, dst: int, nbytes: float, src: int = ANY_SOURCE, tag: int = 0
     ) -> Generator:
-        sreq = self.isend(dst, nbytes, tag)
-        msg = yield from self.recv(src, tag)
-        yield from self.wait(sreq)
-        return msg
+        # isend + recv + wait(send) in one call: the validation order of
+        # isend() then irecv(), both request rows, and the four ops
+        # ISEND, IRECV, blocking WAIT(recv), WAIT(send).
+        self._check_send(dst, nbytes)
+        self._check_recv(src, tag)
+        s = self._recorder.add_pair(
+            self.rank, dst, src, tag, float(nbytes), self._cost.is_eager(nbytes)
+        ) - self._req_base
+        self._ops.extend((
+            (OP_ISEND, s, _NO_F),
+            (OP_IRECV, s + 1, _NO_F),
+            (OP_WAIT, s + 1, _BLOCKING_F),
+            (OP_WAIT, s, _NO_F),
+        ))
+        return  # the recorded receive carries no message, as in recv()
+        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # collectives (wire/copy formulas mirror RankContext exactly)
     # ------------------------------------------------------------------
     def _collective(self, kind: str, wire_bytes: float, copy_bytes: float) -> Generator:
-        seq = self._coll_seq
-        self._coll_seq += 1
-        self._recorder.record_collective(self.rank, seq, kind)
+        seq = len(self._coll_kinds)
+        self._coll_kinds.append(kind)
         self._ops.append(
             (OP_COLLECTIVE, seq, (float(wire_bytes), float(copy_bytes), 0.0, 0.0, 0.0, 0.0))
         )
@@ -338,44 +367,81 @@ class _MarkerHooks(PhaseHooks):
     calls.
     """
 
-    def __init__(self) -> None:
-        self.sites: dict[int, list[tuple[int, str, str]]] = {}
+    def on_init(self, ctx: "_RecordingContext") -> None:
+        ctx._markers.append((len(ctx._ops), "init", ""))
 
-    def _record(self, ctx: "_RecordingContext", kind: str, phase: str) -> None:
-        self.sites.setdefault(ctx.rank, []).append((len(ctx._ops), kind, phase))
+    def phase_begin(self, ctx: "_RecordingContext", phase: str) -> None:
+        ctx._markers.append((len(ctx._ops), "begin", phase))
 
-    def on_init(self, ctx) -> None:
-        self._record(ctx, "init", "")
-
-    def phase_begin(self, ctx, phase: str) -> None:
-        self._record(ctx, "begin", phase)
-
-    def phase_end(self, ctx, phase: str) -> None:
-        self._record(ctx, "end", phase)
+    def phase_end(self, ctx: "_RecordingContext", phase: str) -> None:
+        ctx._markers.append((len(ctx._ops), "end", phase))
 
 
 class _Recorder:
-    """Global (cross-rank) recording state: requests + collectives."""
+    """Cross-rank recording state.
+
+    The request table is six flat columns (one row per isend/irecv, in
+    global request-id order).  Rank bodies are deduplicated as each
+    rank drains (:meth:`close_rank`): only the distinct op streams stay
+    alive, so recording memory follows distinct bodies, not ranks.
+    """
 
     def __init__(self) -> None:
-        self.requests: list[_RecordedRequest] = []
+        self.req_kind: list[int] = []
         self.req_owner: list[int] = []
-        # per-rank collective kinds in call-site order
-        self.collectives: dict[int, list[str]] = {}
+        self.req_peer: list[int] = []
+        self.req_tag: list[int] = []
+        self.req_nbytes: list[float] = []
+        self.req_eager: list[bool] = []
+        self.req_base: list[int] = []
+        #: distinct (op stream, hook markers) -> group id
+        self._groups: dict[tuple, int] = {}
+        self.bodies: list[tuple] = []  # op stream per group
+        self.body_markers: list[tuple] = []  # hook markers per group
+        self.group_of: list[int] = []
+        self.members: list[list[int]] = []
+        #: distinct per-rank collective-kind tuples, in first-rank order
+        self.coll_lists: dict[tuple[str, ...], None] = {}
 
-    def new_request(
-        self, kind: str, owner: int, peer: int, tag: int, nbytes: float
-    ) -> _RecordedRequest:
-        req = _RecordedRequest(len(self.requests), kind, peer, tag, nbytes)
-        self.requests.append(req)
+    def add(self, kind: int, owner: int, peer: int, tag: int, nbytes: float,
+            eager: bool) -> int:
+        """Append one request row; return its global id."""
+        req_id = len(self.req_kind)
+        self.req_kind.append(kind)
         self.req_owner.append(owner)
-        return req
+        self.req_peer.append(peer)
+        self.req_tag.append(tag)
+        self.req_nbytes.append(nbytes)
+        self.req_eager.append(eager)
+        return req_id
 
-    def record_collective(self, rank: int, seq: int, kind: str) -> None:
-        kinds = self.collectives.setdefault(rank, [])
-        if seq != len(kinds):  # pragma: no cover - defensive
-            raise CompileError("collective call-site sequence out of order")
-        kinds.append(kind)
+    def add_pair(self, owner: int, dst: int, src: int, tag: int, nbytes: float,
+                 eager: bool) -> int:
+        """Append a sendrecv's send row then its receive row; return the
+        send's global id."""
+        req_id = len(self.req_kind)
+        self.req_kind.extend((REQ_SEND, REQ_RECV))
+        self.req_owner.extend((owner, owner))
+        self.req_peer.extend((dst, src))
+        self.req_tag.extend((tag, tag))
+        self.req_nbytes.extend((nbytes, 0.0))
+        self.req_eager.extend((eager, False))
+        return req_id
+
+    def close_rank(self, ctx: _RecordingContext) -> None:
+        """File a drained rank: keep its body only if no earlier rank
+        recorded the same one."""
+        self.req_base.append(ctx._req_base)
+        self.coll_lists[tuple(ctx._coll_kinds)] = None
+        sig = (tuple(ctx._ops), tuple(ctx._markers))
+        g = self._groups.get(sig)
+        if g is None:
+            g = self._groups[sig] = len(self.bodies)
+            self.bodies.append(sig[0])
+            self.body_markers.append(sig[1])
+            self.members.append([])
+        self.group_of.append(g)
+        self.members[g].append(ctx.rank)
 
 
 @dataclass(eq=False)  # identity semantics: programs are memoized, never compared
@@ -390,14 +456,16 @@ class CompiledProgram:
     Ranks whose recorded bodies are identical — same op codes, same
     local operands, same float operands, same hook markers — share one
     packed body: their entries in ``ops``/``iargs``/``fargs``/``markers``
-    are the *same objects*, so compile time and memory scale with the
-    number of distinct rank groups, not ranks.  ``group_of[r]`` is rank
-    ``r``'s group id (group ids in first-rank order) and
-    ``group_members[g]`` the sorted ranks of group ``g``.
+    are the *same objects*, so the packed op arrays (and the recorder's
+    op streams while compiling) scale with the number of distinct rank
+    groups, not ranks.  ``group_of[r]`` is rank ``r``'s group id (group
+    ids in first-rank order) and ``group_members[g]`` the sorted ranks
+    of group ``g``.
 
-    The request table stores one row per isend/irecv across all ranks;
-    a rank's ``k``-th request has global id ``req_base[rank] + local``
-    and ``req_match[i]`` is the request id of the statically matched
+    The request table stores one row per isend/irecv across all ranks,
+    so it stays O(requests) whatever the grouping; a rank's ``k``-th
+    request has global id ``req_base[rank] + local`` and
+    ``req_match[i]`` is the request id of the statically matched
     opposite side (FIFO per ``(src, dst, tag)`` channel).
     """
 
@@ -442,106 +510,121 @@ class CompiledProgram:
         return [int(m[0]) for m in self.group_members]
 
 
-def _lower(recorder: _Recorder, contexts: list[_RecordingContext], fastest_hz: float,
-           nprocs: int, markers: "_MarkerHooks") -> CompiledProgram:
-    """Match + validate the recording, then pack it into arrays."""
-    # -- collectives: every rank must run the same call-site list ------
-    counts = {len(recorder.collectives.get(r, [])) for r in range(nprocs)}
-    if len(counts) > 1:
-        raise CompileError("ranks disagree on collective count (would deadlock)")
-    n_coll = counts.pop() if counts else 0
-    coll_kinds: list[str] = []
-    for seq in range(n_coll):
-        kinds = {recorder.collectives[r][seq] for r in range(nprocs)}
-        if len(kinds) != 1:
-            raise CompileError(
-                f"collective mismatch at call site {seq}: {sorted(kinds)}"
-            )
-        coll_kinds.append(kinds.pop())
+def _check_collectives(distinct: list[tuple[str, ...]]) -> tuple[str, ...]:
+    """Every rank must run rank 0's collective call-site list.
 
-    # -- point-to-point: FIFO matching per (src, dst, tag) channel -----
-    sends: dict[tuple[int, int, int], list[int]] = {}
-    recvs: dict[tuple[int, int, int], list[int]] = {}
-    for req in recorder.requests:
-        owner = recorder.req_owner[req.req_id]
-        if req.kind == "send":
-            sends.setdefault((owner, req.peer, req.tag), []).append(req.req_id)
-        else:
-            recvs.setdefault((req.peer, owner, req.tag), []).append(req.req_id)
-    match = np.full(len(recorder.requests), -1, dtype=np.int64)
-    for channel in set(sends) | set(recvs):
-        s_ids = sends.get(channel, [])
-        r_ids = recvs.get(channel, [])
-        if len(s_ids) != len(r_ids):
+    ``distinct`` holds each distinct per-rank kind list once, rank 0's
+    first; the mismatch message names the lowest differing call site
+    and every kind any rank issues there.
+    """
+    if not distinct:
+        return ()
+    if len({len(kinds) for kinds in distinct}) > 1:
+        raise CompileError("ranks disagree on collective count (would deadlock)")
+    ref = distinct[0]
+    if len(distinct) > 1:
+        seq = min(
+            next(i for i, (a, b) in enumerate(zip(ref, other)) if a != b)
+            for other in distinct[1:]
+        )
+        raise CompileError(
+            f"collective mismatch at call site {seq}: "
+            f"{sorted({kinds[seq] for kinds in distinct})}"
+        )
+    return ref
+
+
+def _match_fifo(kind: np.ndarray, owner: np.ndarray, peer: np.ndarray,
+                tag: np.ndarray, eager: np.ndarray) -> np.ndarray:
+    """FIFO-match every send to a receive per ``(src, dst, tag)`` channel.
+
+    One stable sort groups the requests by channel, in request-id
+    order within each channel.  When every channel holds as many sends
+    as receives, the k-th send overall then pairs with the k-th receive
+    overall.  Unmatched and mixed eager/rendezvous channels raise
+    :class:`CompileError` naming the lowest such channel.
+    """
+    n = len(kind)
+    match = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return match
+    is_send = kind == REQ_SEND
+    src = np.where(is_send, owner, peer)
+    dst = np.where(is_send, peer, owner)
+    order = np.lexsort((tag, dst, src))  # stable: ids ascend per channel
+    src, dst, tag, is_send = src[order], dst[order], tag[order], is_send[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (tag[1:] != tag[:-1])
+    starts = np.flatnonzero(new)
+    n_send = np.add.reduceat(is_send.astype(np.int64), starts)
+    n_recv = np.diff(starts, append=n) - n_send
+    n_eager = np.add.reduceat((is_send & eager[order]).astype(np.int64), starts)
+    unmatched = n_send != n_recv
+    mixed = (n_eager != 0) & (n_eager != n_send)
+    bad = np.flatnonzero(unmatched | mixed)
+    if bad.size:
+        c = int(bad[0])
+        i = starts[c]
+        channel = (int(src[i]), int(dst[i]), int(tag[i]))
+        if unmatched[c]:
             raise CompileError(
                 f"unmatched point-to-point traffic on channel {channel}: "
-                f"{len(s_ids)} sends vs {len(r_ids)} recvs"
+                f"{int(n_send[c])} sends vs {int(n_recv[c])} recvs"
             )
-        eager_flags = {recorder.requests[i].message.eager for i in s_ids}
-        if len(eager_flags) > 1:
-            raise CompileError(
-                f"mixed eager/rendezvous messages on channel {channel} "
-                "(delivery order not statically known)"
-            )
-        for s_id, r_id in zip(s_ids, r_ids):
-            match[s_id] = r_id
-            match[r_id] = s_id
+        raise CompileError(
+            f"mixed eager/rendezvous messages on channel {channel} "
+            "(delivery order not statically known)"
+        )
+    sends = order[is_send]
+    recvs = order[~is_send]
+    match[sends] = recvs
+    match[recvs] = sends
+    return match
 
-    # -- rank-group deduplication: pack one body per equivalence class -
-    # The ops stream carries rank-local request indices and per-rank
-    # collective seqs, so two ranks with identical recorded programs
-    # (and identical hook sites) produce identical tuples here even
-    # though their request-table rows differ.  Each distinct body is
-    # packed once; grouped ranks share the resulting array objects.
-    marker_tuples = [tuple(markers.sites.get(r, ())) for r in range(nprocs)]
-    sig_to_group: dict = {}
-    group_of = np.empty(nprocs, dtype=np.int64)
-    group_members: list[list[int]] = []
-    bodies: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for rank, ctx in enumerate(contexts):
-        sig = (tuple(ctx._ops), marker_tuples[rank])
-        g = sig_to_group.get(sig)
-        if g is None:
-            g = sig_to_group[sig] = len(bodies)
-            n = len(ctx._ops)
-            ops = np.empty(n, dtype=np.int8)
-            iargs = np.empty(n, dtype=np.int64)
-            fargs = np.empty((n, 6), dtype=np.float64)
-            for k, (code, iarg, f) in enumerate(ctx._ops):
-                ops[k] = code
-                iargs[k] = iarg
-                fargs[k] = f
-            bodies.append((ops, iargs, fargs))
-            group_members.append([])
-        group_of[rank] = g
-        group_members[g].append(rank)
-    gof = group_of.tolist()
 
-    reqs = recorder.requests
+def _pack(ops: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One body's op tuples as ``(ops, iargs, fargs)`` arrays."""
+    if not ops:
+        return (np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64),
+                np.empty((0, 6), dtype=np.float64))
+    codes, iargs, fargs = zip(*ops)
+    return (np.array(codes, dtype=np.int8), np.array(iargs, dtype=np.int64),
+            np.array(fargs, dtype=np.float64))
+
+
+def _lower(recorder: _Recorder, fastest_hz: float, nprocs: int) -> CompiledProgram:
+    """Match + validate the recording, then pack it into arrays."""
+    coll_kinds = _check_collectives(list(recorder.coll_lists))
+    req_kind = np.array(recorder.req_kind, dtype=np.int8)
+    req_owner = np.array(recorder.req_owner, dtype=np.int64)
+    req_peer = np.array(recorder.req_peer, dtype=np.int64)
+    req_tag = np.array(recorder.req_tag, dtype=np.int64)
+    req_eager = np.array(recorder.req_eager, dtype=bool)
+    match = _match_fifo(req_kind, req_owner, req_peer, req_tag, req_eager)
+
+    # Each distinct body is packed once; grouped ranks share the
+    # resulting array objects (and their representative's markers).
+    bodies = [_pack(ops) for ops in recorder.bodies]
+    gof = recorder.group_of
     return CompiledProgram(
         nprocs=nprocs,
         fastest_hz=fastest_hz,
         ops=[bodies[g][0] for g in gof],
         iargs=[bodies[g][1] for g in gof],
         fargs=[bodies[g][2] for g in gof],
-        req_kind=np.array(
-            [REQ_SEND if r.kind == "send" else REQ_RECV for r in reqs], dtype=np.int8
-        ),
-        req_owner=np.array(recorder.req_owner, dtype=np.int64),
-        req_peer=np.array([r.peer for r in reqs], dtype=np.int64),
-        req_tag=np.array([r.tag for r in reqs], dtype=np.int64),
-        req_nbytes=np.array([r.nbytes for r in reqs], dtype=np.float64),
-        req_eager=np.array(
-            [r.message.eager if r.message is not None else False for r in reqs],
-            dtype=bool,
-        ),
+        req_kind=req_kind,
+        req_owner=req_owner,
+        req_peer=req_peer,
+        req_tag=req_tag,
+        req_nbytes=np.array(recorder.req_nbytes, dtype=np.float64),
+        req_eager=req_eager,
         req_match=match,
-        coll_kinds=tuple(coll_kinds),
-        markers=tuple(marker_tuples),
-        req_base=np.array([ctx._req_base for ctx in contexts], dtype=np.int64),
-        group_of=group_of,
+        coll_kinds=coll_kinds,
+        markers=tuple(recorder.body_markers[g] for g in gof),
+        req_base=np.array(recorder.req_base, dtype=np.int64),
+        group_of=np.array(gof, dtype=np.int64),
         group_members=tuple(
-            np.array(m, dtype=np.int64) for m in group_members
+            np.array(m, dtype=np.int64) for m in recorder.members
         ),
     )
 
@@ -576,20 +659,19 @@ def compile_workload(workload: Workload, fastest_hz: float) -> CompiledProgram:
     # Compiled against marker hooks: op-wise identical to NO_HOOKS (the
     # markers perform no context operation), but every hook site lands
     # in ``CompiledProgram.markers`` for gear-plan lowering.
-    markers = _MarkerHooks()
-    program = workload.make_program(markers)
+    program = workload.make_program(_MarkerHooks())
     recorder = _Recorder()
-    contexts = []
     try:
         for rank in range(workload.nprocs):
             ctx = _RecordingContext(recorder, rank, workload.nprocs, cost, fastest_hz)
-            contexts.append(ctx)
-            gen = program(ctx)
             # Drain the generator; a static program never yields
             # anything the recording context did not itself produce.
-            for _ in gen:  # pragma: no cover - recording ops never yield
+            for _ in program(ctx):  # pragma: no cover - recording ops never yield
                 raise CompileError("program yields a raw simulation event")
-        compiled = _lower(recorder, contexts, fastest_hz, workload.nprocs, markers)
+            # Dedup as soon as the rank drains: a body that duplicates
+            # an earlier rank's is dropped with the context.
+            recorder.close_rank(ctx)
+        compiled = _lower(recorder, fastest_hz, workload.nprocs)
     except CompileError:
         raise
     except Exception as exc:

@@ -39,8 +39,9 @@ class MG(Workload):
     IMBALANCE = 0.03
 
     def __init__(self, klass: str = "C", nprocs: int = 8) -> None:
-        if nprocs < 2:
-            raise ValueError("MG model needs at least 2 ranks")
+        if nprocs < 2 or nprocs % 2:
+            # the halo partner rank ^ 1 must be a rank of the job
+            raise ValueError("MG model needs an even rank count >= 2")
         self.klass = klass.upper()
         self.nprocs = nprocs
         s = scale_for(self.klass)
@@ -72,7 +73,7 @@ class MG(Workload):
 
     def neighbor(self, rank: int) -> int:
         """Halo partner (hypercube-style pairing by lowest dimension)."""
-        return rank ^ 1 if self.nprocs > 1 else rank
+        return rank ^ 1
 
     def make_program(
         self, hooks: PhaseHooks = NO_HOOKS

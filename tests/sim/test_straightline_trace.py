@@ -33,10 +33,7 @@ def _valid_n(code: str) -> list[int]:
             get_workload(code, klass="T", nprocs=n)
         except ValueError:
             continue
-        # MG's halo exchange on 9 ranks addresses a rank outside the
-        # job: the program itself raises on either tier.
-        if (code, n) != ("MG", 9):
-            out.append(n)
+        out.append(n)
     return out
 
 

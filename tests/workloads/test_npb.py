@@ -97,6 +97,14 @@ def test_cg_requires_even_ranks():
         get_workload("CG", nprocs=7)
 
 
+def test_mg_requires_even_ranks():
+    for n in (1, 3, 9):
+        with pytest.raises(ValueError, match="even rank count"):
+            get_workload("MG", klass="T", nprocs=n)
+    mg = get_workload("MG", klass="T", nprocs=10)
+    assert all(0 <= mg.neighbor(r) < 10 for r in range(10))
+
+
 def test_bt_sp_require_square_grids():
     with pytest.raises(ValueError):
         get_workload("BT", nprocs=8)
