@@ -11,9 +11,9 @@ results that are bit-for-bit identical to the serial path:
   worker, so no state is shared between runs in any order;
 * results are collected *by submission index*, never by completion
   order;
-* only runs whose outputs are fully summarised (no trace, no
-  measurement-channel report, no externally supplied cluster or hooks)
-  are ever cached or shipped to a worker pool.
+* only runs whose outputs the cache entry captures in full (summary
+  fields, plus the trace of a traced run; no measurement-channel
+  report, no externally supplied cluster or hooks) are ever cached.
 
 The experiment surface (``frequency_sweep``, ``tables.table2``,
 ``figures.*``, ablations, sensitivity, the campaign) routes every
@@ -68,20 +68,24 @@ class RunTask:
     kwargs: dict[str, Any] = field(default_factory=dict)
 
     def cacheable(self) -> bool:
-        """Whether the result is fully captured by summary fields.
+        """Whether the cache entry captures the result in full.
 
-        Traced runs, measurement-channel runs and runs on a caller
-        supplied cluster or with extra hooks carry live objects the
-        cache (and the JSON round-trip) cannot reproduce.  A ``faults``
-        kwarg is cacheable only as a value-typed :class:`FaultSpec` —
-        a live injector instance carries consumed RNG state no content
-        key could capture.
+        A traced run is cacheable: its entry stores the
+        :class:`~repro.trace.events.TraceLog` as CSV text (about
+        0.73 MB for CG.C.8), and its ``trace=True`` kwarg keeps its key
+        apart from the untraced run's.  The runner's memo then hands
+        every caller of one traced key the *same* ``TraceLog`` object,
+        which callers must not mutate.  Measurement-channel runs and
+        runs on a caller supplied cluster or with extra hooks carry
+        live objects the cache (and the JSON round-trip) cannot
+        reproduce.  A ``faults`` kwarg is cacheable only as a
+        value-typed :class:`FaultSpec` — a live injector instance
+        carries consumed RNG state no content key could capture.
         """
         kw = self.kwargs
         faults = kw.get("faults")
         return not (
-            kw.get("trace")
-            or kw.get("measurement_channels")
+            kw.get("measurement_channels")
             or kw.get("cluster") is not None
             or kw.get("extra_hooks") is not None
             or (faults is not None and not isinstance(faults, FaultSpec))

@@ -2,15 +2,18 @@
 
 Results are plain dataclasses over floats, so a JSON round-trip covers
 archiving, diffing between calibrations, and feeding external plotting
-tools.  Only measurement *summaries* are stored (not traces), matching
+tools.  The archive form holds measurement *summaries* only, matching
 what the paper's data-collection software keeps per run.
 
 The second half of this module is the content-addressed
 :class:`MeasurementCache`: every simulated sweep point is keyed by a
 stable hash of (workload spec, strategy config, seed, cluster/run
 parameters, model version), so a campaign never re-simulates a point
-another figure already produced.  See ``docs/performance.md`` for the
-key schema and the invalidation rules.
+another figure already produced.  A traced point's entry also carries
+its :class:`~repro.trace.events.TraceLog` as
+:func:`~repro.trace.slog.trace_to_csv` text, so a warm campaign
+replays the performance-trace figures from disk too.  See
+``docs/performance.md`` for the key schema and the invalidation rules.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Any, Iterator, Mapping, Optional, Union
 from typing import TYPE_CHECKING
 
 from repro.core.framework import Measurement
+from repro.trace.slog import trace_from_csv, trace_to_csv
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import SweepResult
@@ -171,8 +175,10 @@ def measurement_from_dict(data: Mapping[str, Any]) -> Measurement:
 
     Per-node energies may come as ``per_node_energy_runs`` (cache
     entries) or as the ``per_node_energy_j`` dict (archives and
-    cache entries written before the runs form).  Every
-    structural defect raises ``KeyError``, ``ValueError`` or
+    cache entries written before the runs form).  A traced cache
+    entry's ``trace`` field (:func:`~repro.trace.slog.trace_to_csv`
+    text) is restored with :func:`~repro.trace.slog.trace_from_csv`.
+    Every structural defect raises ``KeyError``, ``ValueError`` or
     ``TypeError``, which the cache treats as a corrupt entry.
     """
     if "per_node_energy_runs" in data:
@@ -180,6 +186,7 @@ def measurement_from_dict(data: Mapping[str, Any]) -> Measurement:
     else:
         per_node = _energies_from_dict(data["per_node_energy_j"])
     extras = data.get("extras")
+    trace = data.get("trace")
     return Measurement(
         workload=_check(data["workload"], str),
         strategy=_check(data["strategy"], str),
@@ -193,6 +200,7 @@ def measurement_from_dict(data: Mapping[str, Any]) -> Measurement:
         },
         acpi_energy_j=_optional_number(data.get("acpi_energy_j")),
         baytech_energy_j=_optional_number(data.get("baytech_energy_j")),
+        trace=None if trace is None else trace_from_csv(_check(trace, str)),
         extras={} if extras is None else dict(_check(extras, dict)),
     )
 
@@ -440,9 +448,13 @@ class MeasurementCache:
 
     One JSON file per sweep point, named by its :func:`cache_key`, in
     fan-out directories by the first key byte (``ab/<key>.json``).
-    Only measurement summaries are stored (never traces or reports),
-    so a cached hit is bit-for-bit identical to a fresh uncached run
-    for every summary field.
+    An entry holds the measurement's summary fields and, for a traced
+    run, its trace as a ``trace`` field of
+    :func:`~repro.trace.slog.trace_to_csv` text (exact through
+    ``repr``, in log order; about 0.73 MB for CG.C.8).  Energy reports
+    are never stored.  A cached hit is bit-for-bit identical to a
+    fresh uncached run for every summary field and, traced, for every
+    trace event in log order.
 
     A corrupt or truncated entry (a writer killed mid-``replace`` on a
     non-atomic filesystem, a bad disk block) is *unlinked* on first
@@ -485,17 +497,17 @@ class MeasurementCache:
         return measurement
 
     def put(self, key: str, measurement: Measurement) -> Path:
-        """Store ``measurement`` under ``key`` (summary fields only)."""
+        """Store ``measurement`` under ``key`` (summary fields + trace)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": key,
-            "measurement": _summary_payload(
-                measurement,
-                "per_node_energy_runs",
-                _energy_runs(measurement.per_node_energy_j),
-            ),
-        }
+        entry = _summary_payload(
+            measurement,
+            "per_node_energy_runs",
+            _energy_runs(measurement.per_node_energy_j),
+        )
+        if measurement.trace is not None:
+            entry["trace"] = trace_to_csv(measurement.trace)
+        payload = {"key": key, "measurement": entry}
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
         tmp.write_text(json.dumps(payload))
         tmp.replace(path)  # atomic vs concurrent writers of the same key

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from repro.trace.events import TraceEvent, TraceLog
 
@@ -31,29 +31,52 @@ def trace_to_csv(log: TraceLog) -> str:
     return buffer.getvalue()
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text`` split after each ``\\n``, as ``io.StringIO`` iterates it,
+    without the 4-byte-per-character copy a ``StringIO`` buffer holds."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start) + 1 or size
+        yield text[start:end]
+        start = end
+
+
 def trace_from_csv(text: str) -> TraceLog:
-    """Parse CSV text produced by :func:`trace_to_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != _FIELDS:
-        raise ValueError(f"not a trace CSV (header {header!r})")
+    """Parse CSV text produced by :func:`trace_to_csv`.
+
+    Every defect raises ``ValueError``: a wrong header, a row of the
+    wrong width or with a non-numeric field, an event that ends before
+    it begins (which :meth:`TraceLog.record` would refuse), and text
+    the CSV reader rejects (e.g. a bare ``\\r`` in an unquoted field).
+    The measurement cache relies on this to evict a corrupt entry.
+    """
+    reader = csv.reader(_lines(text))
     log = TraceLog()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(_FIELDS):
-            raise ValueError(f"malformed trace row at line {lineno}: {row!r}")
-        rank, op, t0, t1, nbytes, peer = row
-        log.events.append(
-            TraceEvent(
-                rank=int(rank),
-                op=op,
-                t_begin=float(t0),
-                t_end=float(t1),
-                nbytes=float(nbytes),
-                peer=int(peer),
-            )
-        )
+    append = log.events.append
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != _FIELDS:
+            raise ValueError(f"not a trace CSV (header {header!r})")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                rank, op, t0, t1, nbytes, peer = row
+                event = TraceEvent(
+                    int(rank), op, float(t0), float(t1), float(nbytes), int(peer)
+                )
+            except ValueError:
+                raise ValueError(
+                    f"malformed trace row at line {lineno}: {row!r}"
+                ) from None
+            if event.t_end < event.t_begin:
+                raise ValueError(
+                    f"trace event at line {lineno} ends before it begins: "
+                    f"{row!r}"
+                )
+            append(event)
+    except csv.Error as exc:
+        raise ValueError(f"not a trace CSV ({exc})") from None
     return log
 
 

@@ -64,6 +64,8 @@ def _legacy(per_node) -> str:
     return _entry(drop="per_node_energy_runs", per_node_energy_j=per_node)
 
 
+_TRACE_HEADER = "rank,op,t_begin,t_end,nbytes,peer\r\n"
+
 _GARBAGE = {
     "bad-json": "{truncated",
     "missing-field": '{"key": "x"}',
@@ -94,6 +96,17 @@ _GARBAGE = {
     "count-negative": _entry(per_node_energy_runs=[[0, -1, 50.0]]),
     # a node id repeated across runs
     "node-repeated": _entry(per_node_energy_runs=[[0, 2, 50.0], [1, 1, 50.0]]),
+    # a traced entry whose trace does not decode
+    "trace-int": _entry(trace=12),
+    "trace-list": _entry(trace=["rank,op,t_begin,t_end,nbytes,peer"]),
+    "trace-bad-header": _entry(trace="rank,op\r\n0,compute\r\n"),
+    "trace-short-row": _entry(trace=_TRACE_HEADER + "0,compute,0.0,1.0\r\n"),
+    "trace-backwards": _entry(
+        trace=_TRACE_HEADER + "0,compute,2.0,1.0,0.0,-1\r\n"
+    ),
+    "trace-stray-cr": _entry(
+        trace=_TRACE_HEADER + "0,comp\rute,0.0,1.0,0.0,-1\r\n"
+    ),
 }
 
 

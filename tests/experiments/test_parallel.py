@@ -137,8 +137,8 @@ def test_cache_hit_is_bit_for_bit(tmp_path):
 def test_uncacheable_runs_bypass_cache(tmp_path):
     workload = get_workload("CG", klass="T")
     with ParallelRunner(jobs=1, cache_dir=tmp_path) as runner:
-        m = runner.run(workload, None, trace=True)
-        assert m.trace is not None
+        m = runner.run(workload, None, measurement_channels=True)
+        assert m.report is not None
         assert runner.stats.lookups == 0
     assert len(MeasurementCache(tmp_path)) == 0
 
