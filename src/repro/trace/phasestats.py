@@ -92,7 +92,9 @@ def profile_phases(
     profiles: dict[str, PhaseProfile] = {}
     total_rank_seconds = sum(iv.duration for iv in recorder.intervals)
     for iv in recorder.intervals:
-        prof = profiles.setdefault(iv.phase, PhaseProfile(iv.phase))
+        prof = profiles.get(iv.phase)
+        if prof is None:
+            prof = profiles[iv.phase] = PhaseProfile(iv.phase)
         prof.instances += 1
         prof.total_seconds += iv.duration
         prof.min_seconds = min(prof.min_seconds, iv.duration)

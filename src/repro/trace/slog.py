@@ -62,19 +62,21 @@ def trace_from_csv(text: str) -> TraceLog:
                 continue
             try:
                 rank, op, t0, t1, nbytes, peer = row
-                event = TraceEvent(
-                    int(rank), op, float(t0), float(t1), float(nbytes), int(peer)
+                t_begin = float(t0)
+                t_end = float(t1)
+                fields = (
+                    int(rank), op, t_begin, t_end, float(nbytes), int(peer)
                 )
             except ValueError:
                 raise ValueError(
                     f"malformed trace row at line {lineno}: {row!r}"
                 ) from None
-            if event.t_end < event.t_begin:
+            if t_end < t_begin:
                 raise ValueError(
                     f"trace event at line {lineno} ends before it begins: "
                     f"{row!r}"
                 )
-            append(event)
+            append(tuple.__new__(TraceEvent, fields))
     except csv.Error as exc:
         raise ValueError(f"not a trace CSV ({exc})") from None
     return log
