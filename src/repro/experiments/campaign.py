@@ -107,9 +107,10 @@ def _run_campaign_body(
     parts.append(_section(
         "Figure 5 — CPUSPEED daemon",
         report.render_comparison(
-            figures.figure5_cpuspeed(codes=codes, klass=klass, seed=seed)
+            figures.figure5_cpuspeed(codes=codes, klass=klass, seed=seed,
+                                     sweeps=sweeps)
         ),
-    ))  # baselines dedupe through the campaign runner's memo
+    ))
     parts.append(_section(
         "Figure 6 — EXTERNAL with ED3P",
         report.render_selection(

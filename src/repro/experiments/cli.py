@@ -254,7 +254,8 @@ def _dispatch(args, targets, runner) -> int:
             out.append(
                 report.render_comparison(
                     figures.figure5_cpuspeed(
-                        codes=args.codes, klass=args.klass, seed=args.seed
+                        codes=args.codes, klass=args.klass, seed=args.seed,
+                        sweeps=sweeps,
                     ),
                     "Figure 5: CPUSPEED daemon (v1.2.1)",
                 )

@@ -129,13 +129,17 @@ def figure5_cpuspeed(
     klass: str = "C",
     interval_s: float = 2.0,
     seed: int = 0,
-    baselines: Optional[Mapping[str, Measurement]] = None,
+    sweeps: Optional[Mapping[str, SweepResult]] = None,
 ) -> StrategyComparison:
     """Reproduce Figure 5: CPUSPEED v1.2.1 on the NPB codes.
 
-    ``baselines`` (code → no-DVS measurement) lets a campaign share one
-    baseline run per workload across figures; missing baselines are
-    simulated here (as one batch alongside the daemon runs).
+    CPUSPEED is normalized against the full-speed run with no DVS.  A
+    code with a sweep in ``sweeps`` (code → Table 2 sweep, as Figures
+    6/7/8 take) reuses that sweep's full-speed run, Table 2's 1400 MHz
+    column ``sweep.raw[sweep.baseline_mhz]``: EXTERNAL at the fastest
+    point is the same simulation as no DVS, so only the daemon run is
+    submitted.  A code without a sweep gets its own no-DVS run, batched
+    with the daemon runs.
     """
     from repro.core.strategies.cpuspeed import CpuspeedConfig
 
@@ -148,7 +152,7 @@ def figure5_cpuspeed(
     tasks: list[RunTask] = []
     baseline_slots: dict[str, int] = {}
     for code in code_list:
-        if baselines is None or code not in baselines:
+        if sweeps is None or code not in sweeps:
             baseline_slots[code] = len(tasks)
             tasks.append(RunTask(workloads[code], None, seed))
         tasks.append(RunTask(workloads[code], CpuspeedDaemonStrategy(config), seed))
@@ -162,7 +166,8 @@ def figure5_cpuspeed(
             baseline = results[cursor]
             cursor += 1
         else:
-            baseline = baselines[code]
+            sweep = sweeps[code]
+            baseline = sweep.raw[sweep.baseline_mhz]
         auto = results[cursor]
         cursor += 1
         points[code] = auto.normalized_against(baseline)

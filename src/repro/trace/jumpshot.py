@@ -46,6 +46,8 @@ def render_timeline(
     if t1 <= t0:
         raise ValueError("empty time window")
     dt = (t1 - t0) / width
+    if dt == 0.0:
+        raise ValueError("time window too narrow for the width")
 
     lines = []
     for rank in log.ranks:

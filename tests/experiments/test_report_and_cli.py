@@ -77,6 +77,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ED3P" in out
 
+    @pytest.mark.parametrize(
+        "targets, swept", [(["fig5"], None), (["table2", "fig5"], ["EP"])]
+    )
+    def test_fig5_reuses_sweeps_only_when_built(
+        self, capsys, monkeypatch, targets, swept
+    ):
+        from repro.experiments import figures
+
+        seen = []
+        real = figures.figure5_cpuspeed
+
+        def spy(**kwargs):
+            seen.append(kwargs["sweeps"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(figures, "figure5_cpuspeed", spy)
+        argv = targets + ["--codes", "EP", "--class", "T", "--no-cache"]
+        assert main(argv) == 0
+        assert "CPUSPEED" in capsys.readouterr().out
+        assert [None if s is None else sorted(s) for s in seen] == [swept]
+
     def test_advise_target(self, capsys):
         assert main(["advise", "--codes", "EP", "--class", "T"]) == 0
         out = capsys.readouterr().out

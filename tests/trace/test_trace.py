@@ -117,6 +117,11 @@ def test_timeline_validation():
         render_timeline(make_log(), width=0)
     with pytest.raises(ValueError):
         render_timeline(make_log(), t_begin=5.0, t_end=5.0)
+    # A positive window whose per-column width underflows to 0.0.
+    tiny = TraceLog()
+    tiny.record(0, "compute", 0.0, 5e-324)
+    with pytest.raises(ValueError):
+        render_timeline(tiny, width=2)
 
 
 def test_timeline_window_clipping():
