@@ -24,12 +24,8 @@ Unlike utilization heuristics, this distinguishes a memory-stalled CPU
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sim.events import Interrupt
-from repro.sim.process import Process
-from repro.hardware.cluster import Cluster
-from repro.hardware.cpu import CpuCore
 from repro.hardware.opoints import OperatingPointTable
 from repro.core.strategies.base import SampledController, Strategy
 
@@ -76,26 +72,10 @@ class BetaDaemonStrategy(Strategy):
 
     def __init__(self, config: Optional[BetaConfig] = None) -> None:
         self.config = config or BetaConfig()
-        self._daemons: list[Process] = []
 
     def describe(self) -> str:
         return f"beta-daemon(delta={self.config.delta:g})"
 
-    # ------------------------------------------------------------------
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        for nid in node_ids:
-            cpu = cluster[nid].cpu
-            self._daemons.append(
-                cluster.env.process(self._daemon(cpu), name=f"beta@{nid}")
-            )
-
-    def teardown(self, cluster: Cluster) -> None:
-        for proc in self._daemons:
-            if proc.is_alive:
-                proc.interrupt("stop")
-        self._daemons.clear()
-
-    # ------------------------------------------------------------------
     @staticmethod
     def pick_point(opoints: OperatingPointTable, ratio: float) -> int:
         """Index of the slowest point with ``f/f_max >= ratio``."""
@@ -105,35 +85,6 @@ class BetaDaemonStrategy(Strategy):
                 return index
         return opoints.max_index
 
-    def _daemon(self, cpu: CpuCore):
-        cfg = self.config
-        env = cpu.env
-        prev_cycles = cpu.cycles_retired_now()
-        prev_time = env.now
-        w_on_ema: Optional[float] = None
-        try:
-            while True:
-                yield env.timeout(cfg.interval_s)
-                now = env.now
-                cycles = cpu.cycles_retired_now()
-                window = now - prev_time
-                if window <= 0:
-                    continue
-                # On-chip share of the window at the *current* clock.
-                onchip_s = (cycles - prev_cycles) / cpu.frequency_hz
-                w_on = min(1.0, max(0.0, onchip_s / window))
-                prev_cycles, prev_time = cycles, now
-                w_on_ema = (
-                    w_on
-                    if w_on_ema is None
-                    else (1 - cfg.smoothing) * w_on_ema + cfg.smoothing * w_on
-                )
-                ratio = required_frequency_ratio(w_on_ema, cfg.delta)
-                cpu.set_speed_index(self.pick_point(cpu.opoints, ratio))
-        except Interrupt:
-            return
-
-    # ------------------------------------------------------------------
     def controller(self) -> Optional[SampledController]:
         """The daemon as a stateful cycle-counter controller.
 
@@ -152,22 +103,15 @@ class BetaDaemonStrategy(Strategy):
 
 
 class _BetaController:
-    """One node's β-daemon state, stepped by the straightline tier.
-
-    Replicates :meth:`BetaDaemonStrategy._daemon`'s loop body float
-    expression for float expression — the tier's bit-exact equivalence
-    contract extends through the controller arithmetic.  The carried
-    state is exactly the generator's locals: the previous window's
-    counter reading and timestamp, and the EMA of the on-chip share.
-    """
+    """One node's β daemon: the previous window's counter reading and
+    timestamp (both zero at t = 0, before the job starts), and the EMA
+    of the on-chip share."""
 
     __slots__ = ("cfg", "opoints", "prev_cycles", "prev_time", "w_on_ema")
 
     def __init__(self, config: BetaConfig) -> None:
         self.cfg = config
         self.opoints: Optional[OperatingPointTable] = None
-        # The daemon samples the counter before its first wait; both
-        # reads happen at t=0 on a parked CPU: zero, zero.
         self.prev_cycles = 0.0
         self.prev_time = 0.0
         self.w_on_ema: Optional[float] = None

@@ -20,11 +20,8 @@ v1.2.1 (Fedora 3, 2 s interval — the version Figure 5 reports).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sim.events import Interrupt
-from repro.sim.process import Process
-from repro.hardware.cluster import Cluster
 from repro.hardware.cpu import CpuCore
 from repro.core.strategies.base import SampledController, Strategy
 
@@ -92,100 +89,43 @@ class CpuspeedDaemonStrategy(Strategy):
 
     def __init__(self, config: Optional[CpuspeedConfig] = None) -> None:
         self.config = config or CpuspeedConfig.v1_2_1()
-        self._daemons: list[Process] = []
 
     def describe(self) -> str:
         return f"cpuspeed(interval={self.config.interval_s:g}s)"
 
-    # ------------------------------------------------------------------
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        env = cluster.env
-        for nid in node_ids:
-            cpu = cluster[nid].cpu
-            proc = env.process(self._daemon(cpu), name=f"cpuspeed@{nid}")
-            self._daemons.append(proc)
-
-    def teardown(self, cluster: Cluster) -> None:
-        for proc in self._daemons:
-            if proc.is_alive:
-                proc.interrupt("stop")
-        self._daemons.clear()
-
-    # ------------------------------------------------------------------
-    def _daemon(self, cpu: CpuCore):
-        cfg = self.config
-        env = cpu.env
-        prev_busy = cpu.busy_seconds()
-        prev_time = env.now
-        try:
-            while True:
-                yield env.timeout(cfg.interval_s)
-                busy = cpu.busy_seconds()
-                now = env.now
-                window = now - prev_time
-                usage = 100.0 * (busy - prev_busy) / window if window > 0 else 0.0
-                prev_busy, prev_time = busy, now
-                index = self._next_index(cpu.index, cpu.opoints.max_index, usage)
-                ok = cpu.set_speed_index(index)
-                # Failed (injected) transition: retry with exponential
-                # backoff instead of silently sticking until next poll.
-                # The clean path never enters this loop, so it adds no
-                # events to fault-free runs.
-                backoff = cfg.retry_backoff_s
-                for _ in range(cfg.max_retries):
-                    if ok:
-                        break
-                    yield env.timeout(backoff)
-                    backoff *= 2.0
-                    if cpu.injector is not None:
-                        cpu.injector.log.dvs_retries += 1
-                    ok = cpu.set_speed_index(index)
-        except Interrupt:
-            return
-
-    def _next_index(self, current: int, max_index: int, usage_pct: float) -> int:
-        """The paper's threshold/saturation rule."""
-        cfg = self.config
-        if usage_pct < cfg.minimum_threshold:
-            return 0
-        if usage_pct > cfg.maximum_threshold:
-            return max_index
-        if usage_pct < cfg.usage_threshold:
-            return max(current - 1, 0)
-        return min(current + 1, max_index)
-
-    # ------------------------------------------------------------------
     def controller(self) -> SampledController:
-        """Expose the daemon as a pure per-node transition function.
-
-        The clean-run daemon is exactly: poll every ``interval_s``,
-        compute the window's %CPU, apply :meth:`_next_index`, issue one
-        ``set_speed_index`` call.  (The retry/backoff loop only runs
-        after an *injected* transition failure, and fault environments
-        never reach the sampled tier.)
-        """
+        """The daemon: poll %CPU every ``interval_s``, apply the
+        threshold rule, issue one ``set_speed_index`` call."""
         return SampledController(
             interval_s=self.config.interval_s,
             make=self._make_controller,
         )
 
     def _make_controller(self) -> "_CpuspeedController":
-        return _CpuspeedController(self)
+        return _CpuspeedController(self.config)
+
+    def retry_transition(self, cpu: CpuCore, target: int):
+        """Re-issue a failed (injected) transition with exponential
+        backoff instead of silently sticking until the next poll.  The
+        clean path never gets here, so it adds no events to fault-free
+        runs."""
+        cfg = self.config
+        backoff = cfg.retry_backoff_s
+        for _ in range(cfg.max_retries):
+            yield cpu.env.timeout(backoff)
+            backoff *= 2.0
+            cpu.injector.log.dvs_retries += 1
+            if cpu.set_speed_index(target):
+                return
 
 
 class _CpuspeedController:
-    """Per-node sampled-control replica of the daemon's clean path.
-
-    ``step`` repeats the generator body's float arithmetic verbatim:
-    the usage expression, then the threshold rule.  The daemon samples
-    ``busy_seconds()`` once at creation (t=0, reading 0.0) before its
-    first sleep, which the initial ``prev_busy``/``prev_time`` mirror.
-    """
+    """One node's CPUSPEED daemon state: the previous poll's busy
+    seconds and time (zero at t = 0, before the job starts)."""
 
     __slots__ = ("prev_busy", "prev_time", "min_t", "use_t", "max_t")
 
-    def __init__(self, strategy: CpuspeedDaemonStrategy) -> None:
-        cfg = strategy.config
+    def __init__(self, cfg: CpuspeedConfig) -> None:
         self.prev_busy = 0.0
         self.prev_time = 0.0
         self.min_t = cfg.minimum_threshold
@@ -199,12 +139,14 @@ class _CpuspeedController:
         usage = 100.0 * (busy - self.prev_busy) / window if window > 0 else 0.0
         self.prev_busy = busy
         self.prev_time = now
-        # _next_index's threshold/saturation rule, inlined for the
-        # per-node-per-poll hot path (comparisons only: bit-identical).
-        if usage < self.min_t:
-            return (0,)
-        if usage > self.max_t:
-            return (max_index,)
-        if usage < self.use_t:
-            return (index - 1,) if index > 0 else (0,)
-        return (index + 1,) if index < max_index else (max_index,)
+        return (self.next_index(index, max_index, usage),)
+
+    def next_index(self, current: int, max_index: int, usage_pct: float) -> int:
+        """The paper's threshold/saturation rule."""
+        if usage_pct < self.min_t:
+            return 0
+        if usage_pct > self.max_t:
+            return max_index
+        if usage_pct < self.use_t:
+            return max(current - 1, 0)
+        return min(current + 1, max_index)

@@ -20,11 +20,8 @@ immediately, so overshoot is bounded by one interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sim.events import Interrupt
-from repro.sim.process import Process
-from repro.hardware.cluster import Cluster
 from repro.core.strategies.base import SampledController, Strategy
 
 __all__ = ["PowerCapConfig", "PowerCapStrategy"]
@@ -65,94 +62,20 @@ class PowerCapStrategy(Strategy):
 
     def __init__(self, config: PowerCapConfig) -> None:
         self.config = config
-        self._proc: Optional[Process] = None
         #: samples of (time, total power) taken by the controller.
         self.power_samples: list[tuple[float, float]] = []
 
     def describe(self) -> str:
         return f"powercap({self.config.cap_w:.0f}W)"
 
-    # ------------------------------------------------------------------
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        # Pre-shed: start every node at the fastest uniform point whose
-        # worst-case total stays under the cap, so the budget holds from
-        # t=0 rather than after the first control interval.
-        nodes = [cluster[nid] for nid in node_ids]
-        for index in range(cluster.opoints.max_index, -1, -1):
-            worst = sum(self._worst_case_node_w(n, index) for n in nodes)
-            if worst <= self.config.cap_w or index == 0:
-                for node in nodes:
-                    node.cpu.set_speed_index(index)
-                break
-        self._proc = cluster.env.process(
-            self._controller(cluster, list(node_ids)), name="powercap"
-        )
-
-    def teardown(self, cluster: Cluster) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
-
-    # ------------------------------------------------------------------
-    def _controller(self, cluster: Cluster, node_ids: list[int]):
-        cfg = self.config
-        env = cluster.env
-        nodes = [cluster[nid] for nid in node_ids]
-        try:
-            while True:
-                yield env.timeout(cfg.interval_s)
-                total = sum(node.power_w() for node in nodes)
-                self.power_samples.append((env.now, total))
-                worst = self._worst_case_total(nodes)
-                if total > cfg.cap_w:
-                    # shed: every node above the floor steps down, the
-                    # biggest consumers first, until projected under cap
-                    offenders = sorted(
-                        (n for n in nodes if n.cpu.index > 0),
-                        key=lambda n: n.power_w(),
-                        reverse=True,
-                    )
-                    projected = total
-                    for node in offenders:
-                        before = node.power_w()
-                        node.cpu.step_down()
-                        projected -= before - node.power_w()
-                        if projected <= cfg.cap_w * cfg.headroom:
-                            break
-                elif total < cfg.cap_w * cfg.headroom:
-                    # recover performance: speed the slowest nodes up,
-                    # against the worst-case (full activity) budget so a
-                    # phase change cannot blow the cap
-                    candidates = sorted(
-                        (n for n in nodes if n.cpu.index < n.cpu.opoints.max_index),
-                        key=lambda n: n.cpu.frequency_hz,
-                    )
-                    budget = cfg.cap_w - (
-                        worst if cfg.conservative_raise else total
-                    )
-                    stepped = 0
-                    for node in candidates:
-                        if stepped >= cfg.max_steps_per_interval:
-                            break
-                        delta = self._worst_case_step_delta(node)
-                        if delta > budget:
-                            continue
-                        node.cpu.step_up()
-                        budget -= delta
-                        stepped += 1
-        except Interrupt:
-            return
-
-    # ------------------------------------------------------------------
     def controller(self) -> Optional[SampledController]:
         """The coordinator as a stateful global-reduction controller.
 
-        The cap loop is exactly the tier's reduction shape: gather
-        every node's instantaneous power (plus the activity key it was
-        computed from, so the shed projection can reprice a
-        stepped-down offender), decide the cluster-wide budget
-        redistribution, scatter the setpoints.  ``start_index``
-        replicates the setup-time pre-shed.
+        Each interval: gather every node's instantaneous power (plus
+        the activity key it was computed from, so the shed projection
+        can reprice a stepped-down offender), decide the cluster-wide
+        budget redistribution, scatter the setpoints.  ``start_index``
+        is the setup-time pre-shed.
         """
         return SampledController(
             interval_s=self.config.interval_s,
@@ -165,12 +88,9 @@ class PowerCapStrategy(Strategy):
         return _PowerCapReduction(self)
 
     def _start_index(self, opoints, power_params, nprocs: int) -> int:
-        """:meth:`setup`'s pre-shed on a homogeneous cluster.
-
-        Every term of the engine's per-node worst-case sum is the same
-        pure-function value, so one evaluation per index reproduces
-        the sum bit-for-bit.
-        """
+        """Pre-shed: the fastest uniform point whose worst-case
+        (full-activity) total stays under the cap, so the budget holds
+        from t = 0 rather than after the first control interval."""
         for index in range(opoints.max_index, -1, -1):
             w = power_params.node_power_w(
                 opoints[index],
@@ -180,23 +100,6 @@ class PowerCapStrategy(Strategy):
             if worst <= self.config.cap_w or index == 0:
                 return index
         return 0  # pragma: no cover - loop always returns at index 0
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _worst_case_node_w(node, index: int) -> float:
-        """Node power at operating point ``index``, flat out."""
-        op = node.cpu.opoints[index]
-        return node.power_params.node_power_w(
-            op, cpu_activity=1.0, mem_activity=0.6, nic_activity=0.5
-        )
-
-    def _worst_case_total(self, nodes) -> float:
-        return sum(self._worst_case_node_w(n, n.cpu.index) for n in nodes)
-
-    def _worst_case_step_delta(self, node) -> float:
-        current = self._worst_case_node_w(node, node.cpu.index)
-        raised = self._worst_case_node_w(node, node.cpu.index + 1)
-        return raised - current
 
     def max_observed_power_w(self) -> float:
         return max((p for _t, p in self.power_samples), default=0.0)
@@ -208,17 +111,13 @@ class PowerCapStrategy(Strategy):
 
 
 class _PowerCapReduction:
-    """The coordinator's per-tick budget redistribution, heap-free.
+    """The coordinator's per-interval budget redistribution.
 
-    Replicates :meth:`PowerCapStrategy._controller`'s loop body float
-    expression for float expression, over node-ordered samples of
-    ``(power_w, dyn, mem, nic)``.  ``worst_tab`` pre-evaluates
-    ``_worst_case_node_w`` per operating point — a pure function, so
-    each table entry is the engine's fresh per-node evaluation
-    bit-for-bit; sums over it run in the engine's node order.  The
-    observable controller state (``power_samples`` on the strategy,
-    which reports ``max``/``mean`` observed power) is appended exactly
-    as the daemon does.
+    Works over node-ordered samples of ``(power_w, dyn, mem, nic)``.
+    ``worst_tab`` holds each operating point's worst-case (full
+    activity) node power; sums over it run in node order.  Each tick
+    appends one ``(time, total power)`` entry to the strategy's
+    ``power_samples``.
     """
 
     __slots__ = ("strategy", "cfg", "opoints", "power", "worst_tab",
@@ -250,18 +149,18 @@ class _PowerCapReduction:
         return p
 
     def decide(self, now, samples, indices):
+        """Yield ``(node, target)`` setpoints one at a time; the runtime
+        writes each node's resulting index back into ``indices``."""
         cfg = self.cfg
         powers = [s[0] for s in samples]
         total = sum(powers)
         self.strategy.power_samples.append((now, total))
         worst_tab = self.worst_tab
         worst = sum(worst_tab[i] for i in indices)
-        out: list[tuple[int, int]] = []
         if total > cfg.cap_w:
             # shed: every node above the floor steps down, the biggest
             # consumers first, until projected under cap.  sorted() is
-            # stable either way, so ties keep node order like the
-            # engine's node-list sort.
+            # stable, so ties keep node order.
             offenders = sorted(
                 (n for n in range(len(indices)) if indices[n] > 0),
                 key=powers.__getitem__,
@@ -269,14 +168,14 @@ class _PowerCapReduction:
             )
             projected = total
             for n in offenders:
-                before = powers[n]
-                s = samples[n]
-                # The gear change leaves the activity state untouched,
-                # so the engine's post-step power_w() re-read is the
-                # same key at the lower point.
-                after = self._node_w(indices[n] - 1, s[1], s[2], s[3])
-                out.append((n, indices[n] - 1))
-                projected -= before - after
+                target = indices[n] - 1
+                yield n, target
+                if indices[n] == target:
+                    # The gear change leaves the activity state
+                    # untouched: same key, lower point.  A failed
+                    # transition leaves the node's power unchanged.
+                    s = samples[n]
+                    projected -= powers[n] - self._node_w(target, s[1], s[2], s[3])
                 if projected <= cfg.cap_w * cfg.headroom:
                     break
         elif total < cfg.cap_w * cfg.headroom:
@@ -296,7 +195,6 @@ class _PowerCapReduction:
                 delta = worst_tab[indices[n] + 1] - worst_tab[indices[n]]
                 if delta > budget:
                     continue
-                out.append((n, indices[n] + 1))
+                yield n, indices[n] + 1
                 budget -= delta
                 stepped += 1
-        return out

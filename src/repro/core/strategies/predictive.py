@@ -25,12 +25,8 @@ Both are system-driven and external, like CPUSPEED: they observe only
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sim.events import Interrupt
-from repro.sim.process import Process
-from repro.hardware.cluster import Cluster
-from repro.hardware.cpu import CpuCore
 from repro.core.strategies.base import SampledController, Strategy
 
 __all__ = ["PredictiveConfig", "PredictiveDaemonStrategy"]
@@ -74,10 +70,42 @@ class PredictiveConfig:
             raise ValueError("drift needs at least one sample")
 
 
-class _NodeState:
-    """Per-node phase tracker."""
+class PredictiveDaemonStrategy(Strategy):
+    """Fast-reacting, optionally phase-predicting DVS daemon."""
+
+    name = "predictive"
+
+    def __init__(self, config: Optional[PredictiveConfig] = None) -> None:
+        self.config = config or PredictiveConfig()
+
+    def describe(self) -> str:
+        mode = "predictive" if self.config.predictive else "reactive"
+        return f"{mode}-daemon(interval={self.config.interval_s:g}s)"
+
+    def controller(self) -> SampledController:
+        """The daemon as a per-node utilization controller."""
+        return SampledController(
+            interval_s=self.config.interval_s,
+            make=self._make_controller,
+        )
+
+    def _make_controller(self) -> "_PredictiveController":
+        return _PredictiveController(self.config)
+
+
+class _PredictiveController:
+    """One node's predictive daemon: a phase tracker stepped per poll.
+
+    ``step`` returns, in call order, every ``set_speed_index`` target
+    of this poll: the mid-band drift's step down (relative to the
+    pre-poll gear), then either the hysteresis phase entry *or* (never
+    both — drifting implies the sample agrees with the current phase)
+    the predictive pre-switch.  The state starts at t = 0, before the
+    job: no busy seconds yet, in a busy phase at the top gear.
+    """
 
     __slots__ = (
+        "cfg",
         "prev_busy",
         "prev_time",
         "phase",
@@ -90,11 +118,12 @@ class _NodeState:
         "mid_count",
     )
 
-    def __init__(self, now: float, busy: float) -> None:
-        self.prev_busy = busy
-        self.prev_time = now
+    def __init__(self, config: PredictiveConfig) -> None:
+        self.cfg = config
+        self.prev_busy = 0.0
+        self.prev_time = 0.0
         self.phase = "busy"
-        self.run_started = now
+        self.run_started = 0.0
         self.agree_count = 0
         self.candidate: Optional[str] = None
         self.learned_busy_s: Optional[float] = None
@@ -102,211 +131,76 @@ class _NodeState:
         self.preswitched = False
         self.mid_count = 0
 
-
-class PredictiveDaemonStrategy(Strategy):
-    """Fast-reacting, optionally phase-predicting DVS daemon."""
-
-    name = "predictive"
-
-    def __init__(self, config: Optional[PredictiveConfig] = None) -> None:
-        self.config = config or PredictiveConfig()
-        self._daemons: list[Process] = []
-
-    def describe(self) -> str:
-        mode = "predictive" if self.config.predictive else "reactive"
-        return f"{mode}-daemon(interval={self.config.interval_s:g}s)"
-
-    # ------------------------------------------------------------------
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        for nid in node_ids:
-            cpu = cluster[nid].cpu
-            self._daemons.append(
-                cluster.env.process(self._daemon(cpu), name=f"predictive@{nid}")
-            )
-
-    def teardown(self, cluster: Cluster) -> None:
-        for proc in self._daemons:
-            if proc.is_alive:
-                proc.interrupt("stop")
-        self._daemons.clear()
-
-    # ------------------------------------------------------------------
-    def _learn(self, state: _NodeState, phase: str, duration: float) -> None:
-        rate = self.config.learning_rate
+    def _learn(self, phase: str, duration: float) -> None:
+        rate = self.cfg.learning_rate
         if phase == "busy":
-            prev = state.learned_busy_s
-            state.learned_busy_s = (
+            prev = self.learned_busy_s
+            self.learned_busy_s = (
                 duration if prev is None else (1 - rate) * prev + rate * duration
             )
         else:
-            prev = state.learned_slack_s
-            state.learned_slack_s = (
+            prev = self.learned_slack_s
+            self.learned_slack_s = (
                 duration if prev is None else (1 - rate) * prev + rate * duration
             )
-
-    def _enter_phase(self, cpu: CpuCore, state: _NodeState, phase: str, now: float) -> None:
-        self._learn(state, state.phase, now - state.run_started)
-        state.phase = phase
-        state.run_started = now
-        state.preswitched = False
-        if phase == "busy":
-            cpu.set_speed_index(cpu.opoints.max_index)
-        else:
-            cpu.set_speed_index(0)
-
-    def controller(self) -> SampledController:
-        """Expose the daemon as a pure per-node transition function."""
-        return SampledController(
-            interval_s=self.config.interval_s,
-            make=self._make_controller,
-        )
-
-    def _make_controller(self) -> "_PredictiveController":
-        return _PredictiveController(self)
-
-    def _daemon(self, cpu: CpuCore):
-        cfg = self.config
-        env = cpu.env
-        state = _NodeState(env.now, cpu.busy_seconds())
-        try:
-            while True:
-                yield env.timeout(cfg.interval_s)
-                now = env.now
-                busy = cpu.busy_seconds()
-                window = now - state.prev_time
-                util = (busy - state.prev_busy) / window if window > 0 else 0.0
-                state.prev_busy, state.prev_time = busy, now
-
-                # classify this sample
-                if util >= cfg.high_threshold:
-                    sample = "busy"
-                    state.mid_count = 0
-                elif util <= cfg.low_threshold:
-                    sample = "slack"
-                    state.mid_count = 0
-                else:
-                    # Ambiguous band: phases too fine (or mixed) for the
-                    # sampler to separate.  Drift down slowly — the
-                    # CPUSPEED-style response — while extremes still get
-                    # immediate jumps.
-                    sample = state.phase
-                    state.mid_count += 1
-                    if state.mid_count >= cfg.drift_samples:
-                        state.mid_count = 0
-                        cpu.step_down()
-
-                # hysteresis: require agreement before switching
-                if sample != state.phase:
-                    if sample == state.candidate:
-                        state.agree_count += 1
-                    else:
-                        state.candidate = sample
-                        state.agree_count = 1
-                    if state.agree_count >= cfg.hysteresis_samples:
-                        self._enter_phase(cpu, state, sample, now)
-                        state.candidate = None
-                        state.agree_count = 0
-                    continue
-                state.candidate = None
-                state.agree_count = 0
-
-                # prediction: pre-switch near the learned end of a run
-                if cfg.predictive and not state.preswitched:
-                    learned = (
-                        state.learned_busy_s
-                        if state.phase == "busy"
-                        else state.learned_slack_s
-                    )
-                    if learned is not None and learned > 0:
-                        elapsed = now - state.run_started
-                        if elapsed >= cfg.preswitch_fraction * learned:
-                            # prepare for the opposite phase
-                            if state.phase == "slack":
-                                cpu.set_speed_index(cpu.opoints.max_index)
-                            else:
-                                cpu.set_speed_index(0)
-                            state.preswitched = True
-        except Interrupt:
-            return
-
-
-class _PredictiveController:
-    """Per-node sampled-control replica of :meth:`_daemon`'s loop body.
-
-    One ``step`` call is one poll.  The returned tuple lists, in call
-    order, every ``set_speed_index`` target the generator would issue
-    this poll: the mid-band drift's ``step_down`` (relative to the
-    pre-poll gear — the poll's first and only earlier call), then
-    either the hysteresis phase entry *or* (never both — drifting
-    implies the sample agrees with the current phase) the predictive
-    pre-switch.  All float expressions — the utilization window, the
-    EMA learning in :meth:`PredictiveDaemonStrategy._learn`, the
-    pre-switch comparison — are the daemon's own, via the strategy's
-    methods where they exist.
-    """
-
-    __slots__ = ("strategy", "state")
-
-    def __init__(self, strategy: PredictiveDaemonStrategy) -> None:
-        self.strategy = strategy
-        # The daemon builds its state at t=0, before the job starts:
-        # env.now == 0.0 and busy_seconds() reads 0.0.
-        self.state = _NodeState(0.0, 0.0)
 
     def step(
         self, now: float, busy: float, index: int, max_index: int
     ) -> tuple[int, ...]:
-        cfg = self.strategy.config
-        state = self.state
+        cfg = self.cfg
         calls: list[int] = []
-        window = now - state.prev_time
-        util = (busy - state.prev_busy) / window if window > 0 else 0.0
-        state.prev_busy, state.prev_time = busy, now
+        window = now - self.prev_time
+        util = (busy - self.prev_busy) / window if window > 0 else 0.0
+        self.prev_busy, self.prev_time = busy, now
 
         # classify this sample
         if util >= cfg.high_threshold:
             sample = "busy"
-            state.mid_count = 0
+            self.mid_count = 0
         elif util <= cfg.low_threshold:
             sample = "slack"
-            state.mid_count = 0
+            self.mid_count = 0
         else:
-            sample = state.phase
-            state.mid_count += 1
-            if state.mid_count >= cfg.drift_samples:
-                state.mid_count = 0
-                calls.append(max(index - 1, 0))  # cpu.step_down()
+            # Ambiguous band: phases too fine (or mixed) for the sampler
+            # to separate.  Drift down slowly — the CPUSPEED-style
+            # response — while extremes still get immediate jumps.
+            sample = self.phase
+            self.mid_count += 1
+            if self.mid_count >= cfg.drift_samples:
+                self.mid_count = 0
+                calls.append(max(index - 1, 0))
 
         # hysteresis: require agreement before switching
-        if sample != state.phase:
-            if sample == state.candidate:
-                state.agree_count += 1
+        if sample != self.phase:
+            if sample == self.candidate:
+                self.agree_count += 1
             else:
-                state.candidate = sample
-                state.agree_count = 1
-            if state.agree_count >= cfg.hysteresis_samples:
-                # _enter_phase (learn, flip phase, jump to the target)
-                self.strategy._learn(state, state.phase, now - state.run_started)
-                state.phase = sample
-                state.run_started = now
-                state.preswitched = False
+                self.candidate = sample
+                self.agree_count = 1
+            if self.agree_count >= cfg.hysteresis_samples:
+                # enter the new phase: learn, flip, jump to its speed
+                self._learn(self.phase, now - self.run_started)
+                self.phase = sample
+                self.run_started = now
+                self.preswitched = False
                 calls.append(max_index if sample == "busy" else 0)
-                state.candidate = None
-                state.agree_count = 0
+                self.candidate = None
+                self.agree_count = 0
             return tuple(calls)
-        state.candidate = None
-        state.agree_count = 0
+        self.candidate = None
+        self.agree_count = 0
 
         # prediction: pre-switch near the learned end of a run
-        if cfg.predictive and not state.preswitched:
+        if cfg.predictive and not self.preswitched:
             learned = (
-                state.learned_busy_s
-                if state.phase == "busy"
-                else state.learned_slack_s
+                self.learned_busy_s
+                if self.phase == "busy"
+                else self.learned_slack_s
             )
             if learned is not None and learned > 0:
-                elapsed = now - state.run_started
+                elapsed = now - self.run_started
                 if elapsed >= cfg.preswitch_fraction * learned:
-                    calls.append(0 if state.phase == "busy" else max_index)
-                    state.preswitched = True
+                    # prepare for the opposite phase
+                    calls.append(0 if self.phase == "busy" else max_index)
+                    self.preswitched = True
         return tuple(calls)

@@ -1132,24 +1132,19 @@ class _SampledExecutor(_Executor):
             raise StraightlineUnsupported("non-positive poll interval",
                                           reason="bad_controller")
         self.interval = interval
-        observes = controller.observes
-        if observes not in ("busy", "cycles", "power"):
-            raise StraightlineUnsupported(
-                f"unknown controller observation {observes!r}",
-                reason="bad_controller",
+        # The event engine's daemon runtime builds its controllers the
+        # same way (imported here: strategies sit above this tier).
+        from repro.core.strategies.base import make_controllers
+
+        try:
+            self.ctrls, self.gctrl = make_controllers(
+                controller, opoints, power_params, self.n
             )
-        self.observes = observes
-        make = controller.make
-        make_global = controller.make_global
-        if make is None and make_global is None:
+        except ValueError as exc:
             raise StraightlineUnsupported(
-                "controller has neither per-node nor global form",
-                reason="bad_controller",
-            )
-        self.ctrls = (
-            [make() for _ in range(self.n)] if make is not None else None
-        )
-        self.gctrl = make_global() if make_global is not None else None
+                str(exc), reason="bad_controller"
+            ) from exc
+        observes = self.observes = controller.observes
         #: bound per-node hooks, hoisted out of the per-poll hot loop:
         #: ``step`` scatters setpoints directly; under a global
         #: reduction the per-node controllers are summarizers instead,
@@ -1167,14 +1162,6 @@ class _SampledExecutor(_Executor):
                     f"controller misses a required hook: {exc}",
                     reason="bad_controller",
                 ) from exc
-            for c in self.ctrls:
-                bind = getattr(c, "bind", None)
-                if bind is not None:
-                    bind(opoints, power_params)
-        if self.gctrl is not None:
-            bind = getattr(self.gctrl, "bind", None)
-            if bind is not None:
-                bind(opoints, power_params, self.n)
         #: Only a busy_seconds() read is a time-accounting touch on the
         #: engine CPU; cycle-counter and power reads are not, so their
         #: polls must *not* become histogram boundaries.
@@ -1423,6 +1410,7 @@ class _SampledExecutor(_Executor):
                     continue  # set_speed_index no-op: no stall, no event
                 self._set_speed_at_tick(n_idx, t, target)
                 node.scan = len(node.events)
+                indices[n_idx] = target  # every transition lands here
         if self._tick_touch:
             self._ticks.append(t)
         self.reduction_ticks += 1
@@ -1854,9 +1842,9 @@ def run_straightline(
         # Most daemon strategies perform no setup-time speed calls:
         # every node starts at the cluster default (the fastest point)
         # and the first poll lands one interval in.  A controller with
-        # a ``start_index`` hook (the power-cap pre-shed) replicates
-        # its strategy's uniform setup call instead: same state as the
-        # gear-plan path's t=0 speed call — one pending transition
+        # a ``start_index`` hook (the power-cap pre-shed) starts every
+        # node at that index, as ``Strategy.setup`` does: same state as
+        # the gear-plan path's t=0 speed call — one pending transition
         # stall, setup transitions excluded from the count, finalize
         # integrating from the shed point.
         start_idx = max_idx

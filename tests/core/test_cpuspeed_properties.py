@@ -9,8 +9,8 @@ from repro.core.strategies import CpuspeedConfig, CpuspeedDaemonStrategy
 
 
 def rule(config: CpuspeedConfig):
-    strategy = CpuspeedDaemonStrategy(config)
-    return lambda current, usage: strategy._next_index(current, 4, usage)
+    daemon = CpuspeedDaemonStrategy(config).controller().make()
+    return lambda current, usage: daemon.next_index(current, 4, usage)
 
 
 @given(

@@ -21,7 +21,7 @@ class TestCpuspeedAlgorithm:
     """The threshold rule transcribed from the paper's pseudocode."""
 
     def setup_method(self):
-        self.strategy = CpuspeedDaemonStrategy(
+        strategy = CpuspeedDaemonStrategy(
             CpuspeedConfig(
                 interval_s=2.0,
                 minimum_threshold=50,
@@ -29,9 +29,10 @@ class TestCpuspeedAlgorithm:
                 maximum_threshold=95,
             )
         )
+        self.daemon = strategy.controller().make()
 
     def next_index(self, current, usage):
-        return self.strategy._next_index(current, 4, usage)
+        return self.daemon.next_index(current, 4, usage)
 
     def test_below_minimum_jumps_to_slowest(self):
         assert self.next_index(3, 10.0) == 0
