@@ -18,9 +18,8 @@ results that are bit-for-bit identical to the serial path:
 The experiment surface (``frequency_sweep``, ``tables.table2``,
 ``figures.*``, ablations, sensitivity, the campaign) routes every
 simulation through the *current runner*: a module-level
-:class:`ParallelRunner` installed with :func:`use` (or
-:func:`configure`).  The default runner is serial, uncached and
-memo-free — exactly the old behavior.
+:class:`ParallelRunner` installed with :func:`use`.  The default runner
+is serial, uncached and memo-free — exactly the old behavior.
 
 Usage::
 
@@ -53,7 +52,6 @@ __all__ = [
     "TaskFailedError",
     "current_runner",
     "use",
-    "configure",
 ]
 
 
@@ -254,9 +252,10 @@ class ParallelRunner:
 
         Gear-plan misses are additionally *batched*: same-workload
         same-configuration points run together through
-        :func:`repro.sim.straightline.run_batch` (inline — the
-        vectorized evaluation is far cheaper than pool dispatch), with
-        results still bit-for-bit identical to per-point runs; points
+        :func:`repro.sim.straightline.run_batch`, inline in this
+        process: one call compiles the workload once and runs each
+        distinct gear plan once, on its quotient program.  Results are
+        still bit-for-bit identical to per-point runs; points
         the fast tiers decline finish on the event engine inside that
         call.  Every other miss (controller daemons, other dynamic
         strategies, live faults, ``engine="event"``, non-tier kwargs)
@@ -583,12 +582,3 @@ def use(runner: ParallelRunner) -> Iterator[ParallelRunner]:
     finally:
         _current = previous
 
-
-def configure(
-    jobs: Optional[int] = 1,
-    cache_dir: Union[str, Path, None] = None,
-    memo: bool = True,
-    faults: Optional[FaultSpec] = None,
-) -> ParallelRunner:
-    """Build a runner (CLI convenience mirroring ``--jobs``/``--cache-dir``)."""
-    return ParallelRunner(jobs=jobs, cache_dir=cache_dir, memo=memo, faults=faults)

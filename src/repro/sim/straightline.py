@@ -1976,7 +1976,7 @@ def try_run_straightline(
 
 
 # ----------------------------------------------------------------------
-# node-major vectorized tier: one interpreter rank per execution group
+# quotient execution: one interpreter rank per execution group
 # ----------------------------------------------------------------------
 #: compiled program -> {execution partition: quotient CompiledProgram},
 #: LRU-bounded at ``MEMO_CAP`` per program.  A quotient program holds

@@ -1,4 +1,6 @@
-"""Ablation study shapes (tiny classes for speed)."""
+"""Ablation study shapes: each study on a small subset (mostly class T)
+and at its default settings (class B), as ``repro-experiments
+ablations`` runs it."""
 
 import pytest
 
@@ -16,6 +18,7 @@ def test_interval_study_points():
     assert [p.setting for p in points] == [0.5, 2.0]
     for p in points:
         assert p.norm_delay > 0 and p.norm_energy > 0
+    assert len(daemon_interval_study()) == 6
 
 
 def test_threshold_regime_flip():
@@ -27,6 +30,8 @@ def test_threshold_regime_flip():
     # Below the flip the daemon stays fast (no saving); above it slides
     # down (saving, delay).
     assert low.energy_saving < high.energy_saving
+    points = daemon_threshold_study()
+    assert points[0].norm_energy > points[-1].norm_energy
 
 
 def test_transition_latency_erodes_internal_gains():
@@ -36,12 +41,19 @@ def test_transition_latency_erodes_internal_gains():
     cheap, expensive = points
     assert expensive.norm_delay > cheap.norm_delay
     assert cheap.energy_saving > 0.1
+    # stable at SpeedStep-scale latencies, eroded at pathological ones
+    # (the granularity condition of the paper's Section 2)
+    points = transition_latency_study()
+    assert abs(points[0].norm_energy - points[1].norm_energy) < 0.01
+    assert points[-1].norm_delay > points[0].norm_delay + 0.02
 
 
 def test_network_speed_reduces_slack():
     points = network_speed_study(code="FT", klass="T", bandwidth_scales=(1.0, 8.0))
     slow_net, fast_net = points
     assert slow_net.energy_saving > fast_net.energy_saving
+    savings = [p.energy_saving for p in network_speed_study()]
+    assert savings == sorted(savings, reverse=True)
 
 
 def test_scaling_study_runs_at_multiple_sizes():
@@ -50,6 +62,9 @@ def test_scaling_study_runs_at_multiple_sizes():
     for p in points:
         assert p.energy_saving > 0.05
         assert p.norm_delay < 1.05
+    # strong scaling pushes the comm share (and savings) up with p
+    points = scaling_study()
+    assert points[-1].energy_saving >= points[0].energy_saving
 
 
 def test_ablation_point_properties():

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.core.strategies import InternalStrategy, PhasePolicy
+from repro.hardware import nemo_cluster
 from repro.hardware.thermal import (
     PAPER_USD_PER_MWH,
     ThermalModel,
@@ -11,6 +13,9 @@ from repro.hardware.thermal import (
     arrhenius_life_factor,
     operating_cost_usd,
 )
+from repro.mpi import launch
+from repro.sim import Environment
+from repro.workloads import get_workload
 
 
 class TestThermalParameters:
@@ -100,3 +105,36 @@ class TestOperatingCost:
 
     def test_default_rate_is_papers(self):
         assert PAPER_USD_PER_MWH == 100.0
+
+
+def _ft_with_thermal(policy=None):
+    """FT.C.8 with a thermal model per node, under ``policy`` if given:
+    (elapsed s, energy J, mean CPU temperature over the cluster)."""
+    w = get_workload("FT", klass="C")
+    env = Environment()
+    cluster = nemo_cluster(env, w.nprocs, with_batteries=False)
+    models = [ThermalModel(node) for node in cluster]
+    program = (
+        w.make_program(InternalStrategy(policy).hooks(w))
+        if policy is not None
+        else w.make_program()
+    )
+    handle = launch(cluster, program, nprocs=w.nprocs, cost=w.cost_model())
+    env.run(handle.done)
+    handle.check()
+    mean_t = sum(m.mean_temperature_c() for m in models) / len(models)
+    return handle.elapsed(), cluster.total_energy_j(), mean_t
+
+
+def test_internal_ft_schedule_cools_cpus_at_no_delay():
+    """The paper's Section 1 reliability and cost argument on FT: the
+    INTERNAL schedule cuts energy by over a quarter at no delay and
+    cools the CPUs enough to lengthen their Arrhenius-law life."""
+    b_el, b_en, b_mean = _ft_with_thermal()
+    s_el, s_en, s_mean = _ft_with_thermal(
+        PhasePolicy({"alltoall"}, low_mhz=600, high_mhz=1400)
+    )
+    assert s_en < b_en * 0.75
+    assert s_el < b_el * 1.01
+    assert s_mean < b_mean - 2.0
+    assert arrhenius_life_factor(s_mean, b_mean) > 1.1
