@@ -4,49 +4,43 @@ Examples::
 
     repro-experiments table1
     repro-experiments table2 --codes FT CG --class C
-    repro-experiments fig2
-    repro-experiments fig5
     repro-experiments fig6 fig7 fig8        # shares one sweep set
-    repro-experiments fig9 fig11 fig12 fig14
-    repro-experiments all -j 4              # fan runs over 4 workers
+    repro-experiments all -j 4              # every section, 4 workers
+    repro-experiments report --out REPORT.md
 
-Every simulation routes through the parallel experiment engine: the
-on-disk measurement cache is on by default (``--no-cache`` to disable,
-``--cache-dir`` to relocate, ``--clear-cache`` to wipe it first) and
-``--jobs/-j`` fans independent runs over worker processes.  Results
-are bit-for-bit identical to a serial, uncached run.
+Each target prints its section(s) of the reproduction report
+(:data:`repro.experiments.campaign.SECTIONS`) exactly as ``report``
+writes them.  Every simulation routes through one parallel experiment
+engine: the on-disk measurement cache is on by default (``--no-cache``
+to disable, ``--cache-dir`` to relocate, ``--clear-cache`` to wipe it
+first) and ``--jobs/-j`` fans independent runs over worker processes.
+Results are bit-for-bit identical to a serial, uncached run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments import figures, report, tables
+from repro.experiments import ablations
+from repro.experiments.campaign import (
+    SECTIONS,
+    Context,
+    Section,
+    frontier_sections,
+    render_report,
+)
 from repro.experiments.parallel import ParallelRunner, use
+from repro.experiments.report import render_table
 
 __all__ = ["main"]
 
-KNOWN = (
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig11",
-    "fig12",
-    "fig14",
-    "ablations",
-    "advise",
-    "optimize",
-    "report",
-    "all",
-)
+#: ``all`` runs these, in report order
+PAPER = tuple(dict.fromkeys(section.target for section in SECTIONS))
+KNOWN = (*PAPER, "ablations", "advise", "optimize", "report", "all")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -110,6 +104,12 @@ def _parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also archive the raw sweep measurements to a JSON file",
     )
+    parser.add_argument(
+        "--out",
+        default="REPORT.md",
+        metavar="PATH",
+        help="where 'report' writes the markdown report (default REPORT.md)",
+    )
     optimize = parser.add_argument_group(
         "optimize", "options for the offline gear-plan optimizer (docs/optimizer.md)"
     )
@@ -125,78 +125,66 @@ def _parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--optimal",
         action="store_true",
-        help="also enter the computed optimal plan as an 'advise' candidate",
+        help=(
+            "also enter the computed optimal plan as an 'advise' candidate, "
+            "and append the computed FT/CG frontiers to 'report'"
+        ),
     )
     return parser
 
 
-def _run_ablations(args) -> str:
-    from repro.experiments import ablations
-    from repro.experiments.report import render_table
-
-    def table(points, label):
-        rows = [
-            (f"{p.setting:g}", f"{p.norm_delay:.3f}", f"{p.norm_energy:.3f}")
-            for p in points
-        ]
-        return render_table([label, "Norm delay", "Norm energy"], rows)
-
-    sections = [
-        ("Ablation: CPUSPEED polling interval (FT)",
-         table(ablations.daemon_interval_study(klass=args.klass), "interval (s)")),
-        ("Ablation: CPUSPEED usage threshold (MG)",
-         table(ablations.daemon_threshold_study(klass=args.klass), "threshold (%)")),
-        ("Ablation: DVS transition latency vs INTERNAL FT",
-         table(ablations.transition_latency_study(klass=args.klass), "latency (s)")),
-        ("Ablation: fabric bandwidth vs INTERNAL FT",
-         table(ablations.network_speed_study(klass=args.klass), "bandwidth x")),
-        ("Ablation: node count vs INTERNAL FT",
-         table(ablations.scaling_study(klass=args.klass), "nodes")),
+def _ablation(study, label: str, ctx: Context) -> str:
+    rows = [
+        (f"{p.setting:g}", f"{p.norm_delay:.3f}", f"{p.norm_energy:.3f}")
+        for p in study(klass=ctx.klass)
     ]
-    return "\n\n".join(f"{title}\n{body}" for title, body in sections)
+    return render_table([label, "Norm delay", "Norm energy"], rows)
 
 
-def _run_advisor(args) -> str:
+ABLATIONS = tuple(
+    Section("ablations", heading, partial(_ablation, study, label))
+    for heading, study, label in (
+        ("Ablation: CPUSPEED polling interval (FT)",
+         ablations.daemon_interval_study, "interval (s)"),
+        ("Ablation: CPUSPEED usage threshold (MG)",
+         ablations.daemon_threshold_study, "threshold (%)"),
+        ("Ablation: DVS transition latency vs INTERNAL FT",
+         ablations.transition_latency_study, "latency (s)"),
+        ("Ablation: fabric bandwidth vs INTERNAL FT",
+         ablations.network_speed_study, "bandwidth x"),
+        ("Ablation: node count vs INTERNAL FT",
+         ablations.scaling_study, "nodes"),
+    )
+)
+
+
+def _advice(code: str, optimal: bool, ctx: Context) -> str:
     from repro.core import ScheduleAdvisor
     from repro.workloads import get_workload
     from repro.experiments.tables import NPB_CODES
 
     advisor = ScheduleAdvisor(
-        include_optimal=args.optimal,
-        max_delay_increase=args.delta if args.optimal else None,
+        include_optimal=optimal,
+        max_delay_increase=ctx.delta if optimal else None,
     )
-    out = []
-    for code in args.codes or ("FT", "CG", "EP"):
-        code = code.upper()
-        workload = get_workload(code, klass=args.klass, nprocs=NPB_CODES.get(code, 8))
-        out.append(advisor.advise(workload).render())
-    return "\n\n".join(out)
-
-
-def _run_optimize(args) -> str:
-    from repro.experiments.figures import figure_optimal_frontier
-    from repro.experiments.report import render_optimal
-
-    out = []
-    for code in args.codes or ("FT", "CG"):
-        out.append(
-            render_optimal(
-                figure_optimal_frontier(
-                    code, klass=args.klass, seed=args.seed, delta=args.delta
-                )
-            )
-        )
-    return "\n\n".join(out)
+    workload = get_workload(code, klass=ctx.klass, nprocs=NPB_CODES.get(code, 8))
+    return advisor.advise(workload).render()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    targets = list(args.targets)
-    if "all" in targets:
-        targets = [
-            t for t in KNOWN
-            if t not in ("all", "ablations", "advise", "optimize", "report")
-        ]
+    targets = PAPER if "all" in args.targets else args.targets
+    ctx = Context(args.klass, args.seed, args.codes, args.delta)
+    sections = (
+        SECTIONS
+        + ABLATIONS
+        + tuple(
+            Section("advise", f"Schedule advice — {code}",
+                    partial(_advice, code, args.optimal))
+            for code in (c.upper() for c in args.codes or ("FT", "CG", "EP"))
+        )
+        + frontier_sections(args.codes or ("FT", "CG"))
+    )
 
     from repro.experiments.store import default_cache_dir
 
@@ -215,129 +203,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if faults.active:
             print(f"[injecting faults: {faults.describe()}]")
 
+    out = []
     with ParallelRunner(
         jobs=args.jobs, cache_dir=cache_dir, faults=faults
     ) as runner, use(runner):
-        return _dispatch(args, targets, runner)
+        for target in targets:
+            if target == "report":
+                path = Path(args.out)
+                path.write_text(render_report(runner, ctx, args.optimal))
+                out.append(f"[full reproduction report written to {path}]")
+            else:
+                out.extend(s.render(ctx) for s in sections if s.target == target)
 
+        print("\n".join(out).rstrip("\n"))
+        if runner.cache is not None or runner.stats.lookups:
+            print(f"\n[{runner.stats.render()}]")
 
-def _dispatch(args, targets, runner) -> int:
-    out = []
-    sweeps = None
-    table2_rows = None
-
-    def ensure_sweeps():
-        nonlocal sweeps, table2_rows
-        if sweeps is None:
-            table2_rows = tables.table2(
-                codes=args.codes, klass=args.klass, seed=args.seed
-            )
-            sweeps = {c: r.sweep for c, r in table2_rows.items()}
-        return sweeps
-
-    for target in targets:
-        if target == "table1":
-            out.append(report.render_table1(tables.table1()))
-        elif target == "table2":
-            ensure_sweeps()
-            out.append(report.render_table2(table2_rows))
-        elif target == "fig1":
-            out.append(report.render_breakdown(figures.figure1_power_breakdown()))
-        elif target == "fig2":
-            out.append(
-                report.render_sweep(
-                    figures.figure2_swim_crescendo(seed=args.seed),
-                    "Figure 2: swim energy-delay crescendo",
-                )
-            )
-        elif target == "fig5":
-            out.append(
-                report.render_comparison(
-                    figures.figure5_cpuspeed(
-                        codes=args.codes, klass=args.klass, seed=args.seed,
-                        sweeps=sweeps,
-                    ),
-                    "Figure 5: CPUSPEED daemon (v1.2.1)",
-                )
-            )
-        elif target == "fig6":
-            out.append(
-                report.render_selection(
-                    figures.figure6_external_ed3p(
-                        codes=args.codes, klass=args.klass, seed=args.seed,
-                        sweeps=ensure_sweeps(),
-                    )
-                )
-            )
-        elif target == "fig7":
-            out.append(
-                report.render_selection(
-                    figures.figure7_external_ed2p(
-                        codes=args.codes, klass=args.klass, seed=args.seed,
-                        sweeps=ensure_sweeps(),
-                    )
-                )
-            )
-        elif target == "fig8":
-            out.append(
-                report.render_crescendos(
-                    figures.figure8_crescendos(
-                        codes=args.codes, klass=args.klass, seed=args.seed,
-                        sweeps=ensure_sweeps(),
-                    )
-                )
-            )
-        elif target == "fig9":
-            out.append(
-                report.render_trace_observations(
-                    figures.figure9_ft_trace(klass=args.klass, seed=args.seed)
-                )
-            )
-        elif target == "fig11":
-            out.append(
-                report.render_internal(
-                    figures.figure11_ft_internal(klass=args.klass, seed=args.seed)
-                )
-            )
-        elif target == "fig12":
-            out.append(
-                report.render_trace_observations(
-                    figures.figure12_cg_trace(klass=args.klass, seed=args.seed)
-                )
-            )
-        elif target == "fig14":
-            out.append(
-                report.render_internal(
-                    figures.figure14_cg_internal(klass=args.klass, seed=args.seed)
-                )
-            )
-        elif target == "ablations":
-            out.append(_run_ablations(args))
-        elif target == "advise":
-            out.append(_run_advisor(args))
-        elif target == "optimize":
-            out.append(_run_optimize(args))
-        elif target == "report":
-            from repro.experiments.campaign import write_report
-
-            path = write_report(
-                "REPORT.md", klass=args.klass, seed=args.seed, codes=args.codes,
-                jobs=args.jobs,
-                cache_dir=runner.cache.root if runner.cache is not None else None,
-                with_optimal=args.optimal,
-            )
-            out.append(f"[full reproduction report written to {path}]")
-
-    print("\n\n".join(out))
-    if runner.cache is not None or runner.stats.lookups:
-        print(f"\n[{runner.stats.render()}]")
-
-    if args.json_out and table2_rows is not None:
+    if args.json_out and ctx.rows is not None:
         from repro.experiments.store import save_json, sweep_to_dict
 
-        payload = {
-            code: sweep_to_dict(row.sweep) for code, row in table2_rows.items()
-        }
+        payload = {code: sweep_to_dict(row.sweep) for code, row in ctx.rows.items()}
         path = save_json(args.json_out, payload)
         print(f"\n[raw sweep measurements written to {path}]")
     return 0

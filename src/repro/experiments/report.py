@@ -102,7 +102,7 @@ def render_sweep(sweep: SweepResult, title: str = "") -> str:
     )
 
 
-def render_comparison(comp: StrategyComparison, title: str = "") -> str:
+def render_comparison(comp: StrategyComparison) -> str:
     rows = [
         (code, f"{d:.3f}", f"{e:.3f}")
         for code, d, e in comp.sorted_by_delay()
@@ -110,7 +110,7 @@ def render_comparison(comp: StrategyComparison, title: str = "") -> str:
     return render_table(
         ["Code", "Norm delay", "Norm energy"],
         rows,
-        title or f"Strategy: {comp.strategy} (sorted by delay)",
+        f"Strategy: {comp.strategy} (sorted by delay)",
     )
 
 

@@ -138,7 +138,7 @@ def _record_simulated_points(monkeypatch) -> list:
 
 def test_cold_campaign_simulates_each_point_once(monkeypatch):
     keys = _record_simulated_points(monkeypatch)
-    run_campaign(klass="T", with_charts=False)
+    run_campaign(klass="T")
     # Table 2 alone runs 8 codes x 5 frequencies through _run_plan.
     assert len(keys) >= 40
     repeated = {key for key in keys if keys.count(key) > 1}

@@ -97,7 +97,7 @@ def test_traced_and_untraced_points_keep_separate_entries(tmp_path):
 def test_warm_campaign_simulates_nothing(tmp_path, monkeypatch, spies):
     # Figure 1 drives the event engine directly (no runner), so it is
     # the one figure a warm campaign still simulates.
-    cold = run_campaign(klass="T", with_charts=False, cache_dir=tmp_path)
+    cold = run_campaign(klass="T", cache_dir=tmp_path)
     assert spies["_execute"] and spies["run_batch"]
     spies["_execute"].clear()
     spies["run_batch"].clear()
@@ -111,7 +111,7 @@ def test_warm_campaign_simulates_nothing(tmp_path, monkeypatch, spies):
         return m
 
     monkeypatch.setattr(MeasurementCache, "get", get)
-    warm = run_campaign(klass="T", with_charts=False, cache_dir=tmp_path)
+    warm = run_campaign(klass="T", cache_dir=tmp_path)
 
     assert spies == {"_execute": [], "run_batch": []}
     assert served and None not in served
