@@ -189,10 +189,9 @@ class ScheduleAdvisor:
             )
 
         # Candidate evaluation is one grid through the current runner:
-        # map_sweep batches the static candidates through the
-        # straightline tiers (bit-identical to per-point run_workload)
-        # and memoizes each point, so advisors sharing a runner share
-        # fills.
+        # its map batches the static candidates through run_batch
+        # (bit-identical to per-point run_workload) and memoizes each
+        # point, so advisors sharing a runner share fills.
         from repro.experiments.parallel import RunTask, current_runner
 
         measured: dict[int, Measurement] = {}
@@ -203,7 +202,7 @@ class ScheduleAdvisor:
             else:
                 tasks.append((i, RunTask(workload, strategy, self.seed)))
         for (i, _task), m in zip(
-            tasks, current_runner().map_sweep([t for _, t in tasks])
+            tasks, current_runner().map([t for _, t in tasks])
         ):
             measured[i] = m
 

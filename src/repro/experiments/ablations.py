@@ -65,7 +65,7 @@ def _normalized_many(configs, seed=0):
     for workload, strategy, kwargs in configs:
         tasks.append(RunTask(workload, NoDvsStrategy(), seed, dict(kwargs)))
         tasks.append(RunTask(workload, strategy, seed, dict(kwargs)))
-    results = current_runner().map_sweep(tasks)
+    results = current_runner().map(tasks)
     return [(results[2 * i], results[2 * i + 1]) for i in range(len(configs))]
 
 

@@ -1,11 +1,15 @@
 """Parallel experiment engine.
 
 Every paper artifact is a grid of *independent* full-cluster
-simulations (code × frequency × seed × strategy).  This module fans
-those runs out over a :class:`concurrent.futures.ProcessPoolExecutor`
-and memoizes each sweep point through the content-addressed
-:class:`~repro.experiments.store.MeasurementCache`, while guaranteeing
-results that are bit-for-bit identical to the serial path:
+simulations (code × frequency × seed × strategy).
+:meth:`ParallelRunner.map` is the one way a grid is measured: it
+memoizes each point through the content-addressed
+:class:`~repro.experiments.store.MeasurementCache`, sends each
+(workload, configuration) group of gear-plan misses to one
+:func:`repro.sim.straightline.run_batch` call and every other miss to
+``run_workload``, inline or over a
+:class:`concurrent.futures.ProcessPoolExecutor`, while guaranteeing
+results that are bit-for-bit identical to per-point serial runs:
 
 * each task carries its own seed and builds a fresh cluster inside the
   worker, so no state is shared between runs in any order;
@@ -27,7 +31,7 @@ Usage::
 
     with ParallelRunner(jobs=4, cache_dir=".repro-cache") as runner:
         with use(runner):
-            rows = tables.table2()          # 48 runs, 4 at a time
+            rows = tables.table2()  # 8 gear-plan batches + 8 daemon runs
     print(runner.stats.render())
 """
 
@@ -109,7 +113,8 @@ class TaskFailedError(RuntimeError):
 
 
 class _WorkerError(Exception):
-    """Worker-side failure, carrying the formatted traceback as args[0].
+    """Worker-side failure: args are (formatted traceback, position of
+    the failing task in its chunk).
 
     A plain-args Exception subclass so it pickles back to the parent
     intact (arbitrary exceptions raised inside a worker lose their
@@ -118,24 +123,124 @@ class _WorkerError(Exception):
 
 
 def _execute(task: RunTask) -> Measurement:
-    """Worker entry point — must stay a module-level function."""
+    """Measure one task on its own through ``run_workload``."""
     return run_workload(task.workload, task.strategy, seed=task.seed, **task.kwargs)
 
 
-def _execute_chunk_traced(chunk: Sequence[RunTask]) -> list[Measurement]:
-    """Pool entry point: measure a chunk of consecutive tasks.
+#: ``run_workload`` kwargs :func:`repro.sim.straightline.run_batch`
+#: understands (``engine``/``faults`` are dispatch-only and dropped).
+_BATCH_KWARGS = frozenset(
+    {"network_params", "power", "opoints", "transition_latency_s",
+     "engine", "faults"}
+)
 
-    :meth:`ParallelRunner.map` submits chunks of one; ``map_sweep``
-    ships longer runs of sweep points, amortizing process dispatch and
-    task pickling over many (microsecond-scale) simulations.  Any
-    failure becomes a picklable :class:`_WorkerError`, so the parent
-    sees the worker's traceback instead of an opaque
-    ``BrokenProcessPool``.
+#: Most non-batchable misses one pool task carries.
+_MAX_CHUNK = 32
+
+
+def _batch_group(task: RunTask) -> Optional[tuple]:
+    """The (workload, configuration) identity a gear-plan miss batches
+    under, or None when the task must run by itself.
+
+    A task batches when its kwargs are all straightline-tier
+    parameters, no live fault environment applies (``faults=None`` or a
+    zero-rate spec), the engine is ``"auto"``, and the strategy lowers
+    to a static gear plan.  Identity is by object, so a group shares
+    one workload and one set of configuration objects.
     """
+    kw = task.kwargs
+    faults = kw.get("faults")
+    # A zero-rate spec injects nothing (bit-for-bit a clean run), so it
+    # doesn't force the event path; its cache key is unaffected —
+    # engine selection only.
+    inert = faults is None or (isinstance(faults, FaultSpec) and faults.is_noop())
+    strategy = task.strategy if task.strategy is not None else NoDvsStrategy()
+    if not (
+        set(kw) <= _BATCH_KWARGS
+        and kw.get("engine", "auto") == "auto"
+        and inert
+        and strategy.gear_plan(task.workload) is not None
+    ):
+        return None
+    return (
+        id(task.workload),
+        tuple(sorted(
+            (k, id(v)) for k, v in kw.items() if k not in ("engine", "faults")
+        )),
+    )
+
+
+def _partition(tasks: Sequence[RunTask]) -> tuple[list[list[int]], list[int]]:
+    """Positions of ``tasks`` per batch group, and those that run alone."""
+    groups: dict[tuple, list[int]] = {}
+    alone: list[int] = []
+    for j, task in enumerate(tasks):
+        group = _batch_group(task)
+        if group is None:
+            alone.append(j)
+        else:
+            groups.setdefault(group, []).append(j)
+    return list(groups.values()), alone
+
+
+def _execute_chunk(
+    chunk: Sequence[RunTask], in_pool: bool = False
+) -> tuple[list[Measurement], dict]:
+    """Measure a chunk of tasks; returns (measurements, counters).
+
+    Gear-plan tasks of one :func:`_batch_group` go to one
+    :func:`repro.sim.straightline.run_batch` call, which compiles the
+    workload once and runs each distinct gear plan once; points its
+    tiers decline finish on the event engine there.  Every other task
+    runs by itself through ``run_workload``, before the batches.
+    Results come back in chunk order, bit-for-bit what per-point
+    ``run_workload`` gives.
+    The counters are ``run_batch``'s ``event_points`` and
+    ``fallback_reasons`` plus the gear-plan lowering cache's hit/miss
+    deltas over the call.
+
+    In a pool worker (``in_pool``) any failure becomes a picklable
+    :class:`_WorkerError` naming the failing task's chunk position, so
+    the parent sees the worker's traceback instead of an opaque
+    ``BrokenProcessPool``; inline, the original exception propagates.
+    """
+    from repro.sim.straightline import lowering_cache_counters, run_batch
+
+    lower_h0, lower_m0 = lowering_cache_counters()
+    measured: list[Optional[Measurement]] = [None] * len(chunk)
+    counters: dict = {"event_points": 0, "fallback_reasons": {}}
+    position = 0
     try:
-        return [_execute(t) for t in chunk]
+        groups, alone = _partition(chunk)
+        # Lone tasks first: run after the batches, each daemon point's
+        # transient state would sit on top of every batched workload's
+        # compiled program and memo tables (Table 2's peak RSS grew 5%).
+        for position in alone:
+            measured[position] = _execute(chunk[position])
+        for positions in groups:
+            position = positions[0]
+            first = chunk[position]
+            run_kwargs = {
+                k: v for k, v in first.kwargs.items()
+                if k not in ("engine", "faults")
+            }
+            points = [(chunk[j].strategy, chunk[j].seed) for j in positions]
+            info: dict = {}
+            batch = run_batch(first.workload, points, stats=info, **run_kwargs)
+            counters["event_points"] += info.get("event_points", 0)
+            for reason, n in info.get("fallback_reasons", {}).items():
+                reasons = counters["fallback_reasons"]
+                reasons[reason] = reasons.get(reason, 0) + n
+            for j, m in zip(positions, batch):
+                measured[j] = m
     except Exception:
-        raise _WorkerError(traceback.format_exc()) from None
+        if not in_pool:
+            raise
+        raise _WorkerError(traceback.format_exc(), position) from None
+    lower_h1, lower_m1 = lowering_cache_counters()
+    counters["lowering_hits"] = lower_h1 - lower_h0
+    counters["lowering_misses"] = lower_m1 - lower_m0
+    return measured, counters  # type: ignore[return-value]
 
 
 class ParallelRunner:
@@ -225,9 +330,10 @@ class ParallelRunner:
     def map(self, tasks: Sequence[RunTask]) -> list[Measurement]:
         """Run every task, returning results in task order.
 
-        Cache/memo hits are filled in first; the remaining misses run
-        in the worker pool (or inline when serial / a single miss) and
-        are stored back.
+        Cache/memo hits are filled in first; the remaining misses are
+        measured by :func:`_execute_chunk` (gear-plan misses batched
+        through ``run_batch``, every other miss by itself) and stored
+        back per point, so a re-run hits per point.
         """
         tasks = self._merge_faults(tasks)
         results, pending, duplicates = self._probe(tasks)
@@ -236,150 +342,41 @@ class ParallelRunner:
             self._store(results, pending, duplicates, measured)
         return self._tally(results)
 
-    def map_sweep(
-        self, tasks: Sequence[RunTask], chunk_size: Optional[int] = None
-    ) -> list[Measurement]:
-        """Like :meth:`map`, but ships *chunks* of consecutive misses
-        to each worker as one pool task.
+    #: The same method, under the name ``perfbench/sample.py`` calls.
+    map_sweep = map
 
-        A frequency sweep over the straightline tier spends more time
-        pickling tasks and dispatching futures than simulating; batching
-        amortizes that overhead.  Every guarantee of :meth:`map` holds:
-        results come back in submission-index order, and each point is
-        cached/memoized individually, so a re-run hits per point.  The
-        default ``chunk_size`` splits the misses into about four chunks
-        per worker (bounded to 32 points) so stragglers still balance.
+    def _measure(self, tasks: Sequence[RunTask]) -> list[Measurement]:
+        """Measure ``tasks``, folding the tier counters into ``stats``.
 
-        Gear-plan misses are additionally *batched*: same-workload
-        same-configuration points run together through
-        :func:`repro.sim.straightline.run_batch`, inline in this
-        process: one call compiles the workload once and runs each
-        distinct gear plan once, on its quotient program.  Results are
-        still bit-for-bit identical to per-point runs; points
-        the fast tiers decline finish on the event engine inside that
-        call.  Every other miss (controller daemons, other dynamic
-        strategies, live faults, ``engine="event"``, non-tier kwargs)
-        takes :meth:`map`'s per-point path, chunked for the pool; such
-        a point records no decline reason in :attr:`stats`, even when
-        the sampled tier declines it (the telemetry-record item in
-        ROADMAP.md).
+        Serial, or a single task: one inline :func:`_execute_chunk`.
+        Otherwise every miss runs in the pool: each gear-plan batch
+        group is one pool task, and the other misses go in about four
+        chunks per worker (at most ``_MAX_CHUNK`` tasks each), so
+        stragglers still balance.  Retries, the timeout and
+        :class:`TaskFailedError` cover every miss.
         """
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        tasks = self._merge_faults(tasks)
-        results, pending, duplicates = self._probe(tasks)
-        if pending:
-            measured: list[Optional[Measurement]] = [None] * len(pending)
-            leftover = self._run_batches(pending, measured)
-            if leftover:
-                if chunk_size is None:
-                    per_worker = -(-len(leftover) // (self.jobs * 4))
-                    chunk_size = max(1, min(32, per_worker))
-                fresh = self._measure(
-                    [pending[j][1] for j in leftover], chunk_size
-                )
-                for j, m in zip(leftover, fresh):
-                    measured[j] = m
-            self._store(results, pending, duplicates, measured)
-        return self._tally(results)
-
-    def _measure(
-        self, tasks: Sequence[RunTask], chunk_size: int = 1
-    ) -> list[Measurement]:
-        """Per-point path: inline when serial or a single task, else
-        ``chunk_size`` consecutive tasks per pool task."""
-        if self.jobs > 1 and len(tasks) > 1:
-            chunks = [
-                tasks[i : i + chunk_size]
-                for i in range(0, len(tasks), chunk_size)
+        if self.jobs == 1 or len(tasks) == 1:
+            layout = [list(range(len(tasks)))]
+            outputs = [_execute_chunk(tasks)]
+        else:
+            groups, alone = _partition(tasks)
+            size = max(1, min(_MAX_CHUNK, -(-len(alone) // (self.jobs * 4))))
+            layout = groups + [
+                alone[i : i + size] for i in range(0, len(alone), size)
             ]
-            return [m for chunk in self._map_pool(chunks) for m in chunk]
-        return [_execute(t) for t in tasks]
-
-    #: ``run_workload`` kwargs :func:`repro.sim.straightline.run_batch`
-    #: understands (``engine``/``faults`` are dispatch-only and dropped).
-    _BATCH_KWARGS = frozenset(
-        {"network_params", "power", "opoints", "transition_latency_s",
-         "engine", "faults"}
-    )
-
-    def _run_batches(
-        self,
-        pending: list[tuple[int, RunTask, Optional[str]]],
-        measured: list[Optional[Measurement]],
-    ) -> list[int]:
-        """Fill gear-plan misses into ``measured`` (by pending
-        position); returns the positions the per-point path must run.
-
-        A miss goes to :func:`repro.sim.straightline.run_batch` when
-        its kwargs are all straightline-tier parameters, no live fault
-        environment applies (``faults=None`` or a zero-rate spec), the
-        engine is ``"auto"``, and the strategy lowers to a static gear
-        plan.  Misses group by workload and configuration identity,
-        whatever the group size.  ``run_batch`` measures every point it
-        is given — points its tiers decline run on the event engine
-        there and count in ``stats.straightline_fallbacks`` — so
-        nothing it was handed comes back here.
-        """
-        from repro.sim.straightline import lowering_cache_counters, run_batch
-
-        lower_h0, lower_m0 = lowering_cache_counters()
-        groups: dict[tuple, list[int]] = {}
-        leftover: list[int] = []
-        for j, (_index, task, _key) in enumerate(pending):
-            kw = task.kwargs
-            faults = kw.get("faults")
-            # A zero-rate spec injects nothing (bit-for-bit a clean
-            # run), so it doesn't force the event path; its cache key
-            # is unaffected — engine selection only.
-            inert = faults is None or (
-                isinstance(faults, FaultSpec) and faults.is_noop()
-            )
-            strategy = task.strategy if task.strategy is not None else NoDvsStrategy()
-            if not (
-                set(kw) <= self._BATCH_KWARGS
-                and kw.get("engine", "auto") == "auto"
-                and inert
-                and strategy.gear_plan(task.workload) is not None
-            ):
-                leftover.append(j)
-                continue
-            group = (
-                id(task.workload),
-                tuple(
-                    sorted(
-                        (k, id(v))
-                        for k, v in kw.items()
-                        if k not in ("engine", "faults")
-                    )
-                ),
-            )
-            groups.setdefault(group, []).append(j)
-        for positions in groups.values():
-            first = pending[positions[0]][1]
-            run_kwargs = {
-                k: v
-                for k, v in first.kwargs.items()
-                if k not in ("engine", "faults")
-            }
-            points = [
-                (pending[j][1].strategy, pending[j][1].seed) for j in positions
-            ]
-            info: dict = {}
-            batch = run_batch(first.workload, points, stats=info, **run_kwargs)
-            self.stats.straightline_fallbacks += info.get("event_points", 0)
-            for reason, n in info.get("fallback_reasons", {}).items():
-                self.stats.count_fallback(reason, n)
-            for j, m in zip(positions, batch):
+            outputs = self._map_pool([[tasks[j] for j in c] for c in layout])
+        measured: list[Optional[Measurement]] = [None] * len(tasks)
+        for positions, (chunk_measured, counters) in zip(layout, outputs):
+            for j, m in zip(positions, chunk_measured):
                 measured[j] = m
-        # Gear-plan lowering reuse over this call (process-wide counter
-        # deltas: run_batch is the only lowerer here).
-        lower_h1, lower_m1 = lowering_cache_counters()
-        self.stats.lowering_hits += lower_h1 - lower_h0
-        self.stats.lowering_misses += lower_m1 - lower_m0
-        return leftover
+            self.stats.straightline_fallbacks += counters["event_points"]
+            for reason, n in counters["fallback_reasons"].items():
+                self.stats.count_fallback(reason, n)
+            self.stats.lowering_hits += counters["lowering_hits"]
+            self.stats.lowering_misses += counters["lowering_misses"]
+        return measured  # type: ignore[return-value]
 
-    # -- map/map_sweep shared prologue + epilogue ----------------------
+    # -- map's prologue + epilogue ----------------------------------------
     def _merge_faults(self, tasks: Sequence[RunTask]) -> Sequence[RunTask]:
         if self.faults is None:
             return tasks
@@ -429,7 +426,11 @@ class ParallelRunner:
                     self.stats.hits += 1
                     continue
                 if self.cache is not None:
+                    evicted = self.cache.stats.evicted_corrupt
                     cached = self.cache.get(key)
+                    self.stats.evicted_corrupt += (
+                        self.cache.stats.evicted_corrupt - evicted
+                    )
                     if cached is not None:
                         results[index] = cached
                         if self._memo is not None:
@@ -475,8 +476,8 @@ class ParallelRunner:
     def _map_pool(self, chunks: Sequence[Sequence[RunTask]]) -> list:
         """Measure ``chunks`` of tasks in the worker pool, in order.
 
-        Each chunk is one pool task (:func:`_execute_chunk_traced`),
-        returning its list of measurements.  Worker-side exceptions surface
+        Each chunk is one pool task (:func:`_execute_chunk`), returning
+        its measurements and counters.  Worker-side exceptions surface
         as :class:`TaskFailedError` (task spec + worker traceback)
         instead of raw pool errors; a timed-out or pool-killing task
         gets the pool recycled and is retried up to ``task_retries``
@@ -489,13 +490,13 @@ class ParallelRunner:
         while remaining:
             pool = self._ensure_pool()
             futures = {
-                i: pool.submit(_execute_chunk_traced, chunks[i])
+                i: pool.submit(_execute_chunk, chunks[i], True)
                 for i in remaining
             }
             retry: list[int] = []
             broken = False
 
-            def _failed(i: int, detail: str) -> None:
+            def _failed(i: int, detail: str, position: int = 0) -> None:
                 attempts[i] += 1
                 if attempts[i] > self.task_retries:
                     # Leave no half-broken pool behind the exception.
@@ -503,7 +504,7 @@ class ParallelRunner:
                     chunk = chunks[i]
                     if len(chunk) > 1:
                         detail = f"(chunk of {len(chunk)} tasks) {detail}"
-                    raise TaskFailedError(chunk[0], attempts[i], detail)
+                    raise TaskFailedError(chunk[position], attempts[i], detail)
                 retry.append(i)
 
             for i in remaining:
@@ -517,7 +518,7 @@ class ParallelRunner:
                             results[i] = future.result()
                             continue
                         except _WorkerError as exc:
-                            _failed(i, exc.args[0])
+                            _failed(i, *exc.args)
                             continue
                         except Exception:
                             pass
@@ -526,7 +527,7 @@ class ParallelRunner:
                 try:
                     results[i] = future.result(timeout=self.task_timeout_s)
                 except _WorkerError as exc:
-                    _failed(i, exc.args[0])
+                    _failed(i, *exc.args)
                 except FuturesTimeout:
                     broken = True
                     _failed(

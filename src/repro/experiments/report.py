@@ -34,7 +34,6 @@ __all__ = [
     "render_optimal",
     "render_breakdown",
     "render_fault_summary",
-    "render_runner_stats",
 ]
 
 
@@ -254,18 +253,3 @@ def render_fault_summary(faults: "FaultSpec", stats: "CacheStats") -> str:
                      "bit-for-bit identical to a fault-free campaign)")
     return "\n".join(lines)
 
-
-def render_runner_stats(runner) -> str:
-    """One-line sweep-engine summary for a :class:`ParallelRunner`.
-
-    The runner's own counters (hits/misses and the ``map_sweep`` tier
-    telemetry: event-engine fallbacks, their reasons, gear-plan
-    lowering-cache reuse) plus the disk cache's health counter, which
-    lives on the cache's separate stats object (corrupt entries
-    evicted).
-    """
-    line = runner.stats.render()
-    cache = getattr(runner, "cache", None)
-    if cache is not None and cache.stats.evicted_corrupt:
-        line += f"\n  disk {cache.stats.render()}"
-    return line

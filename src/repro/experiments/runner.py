@@ -110,9 +110,8 @@ def frequency_sweep_many(
 
     Submitting the full (workload × frequency) grid at once keeps every
     worker of a parallel runner busy instead of parallelising only
-    within one workload's handful of frequencies, and chunked
-    submission (``map_sweep``) amortizes pool dispatch over points that
-    the straightline tier finishes in microseconds.
+    within one workload's handful of frequencies, and lets the runner
+    measure each workload's frequencies in one ``run_batch`` call.
     """
     frequencies = [float(mhz) for mhz in _resolved_frequencies(frequencies_mhz)]
     tasks = [
@@ -120,7 +119,7 @@ def frequency_sweep_many(
         for workload in workloads
         for mhz in frequencies
     ]
-    measurements = current_runner().map_sweep(tasks)
+    measurements = current_runner().map(tasks)
     sweeps: dict[str, SweepResult] = {}
     n_freq = len(frequencies)
     for i, workload in enumerate(workloads):

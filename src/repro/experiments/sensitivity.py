@@ -70,7 +70,7 @@ def _evaluate(power: NodePowerParameters, parameter: str, scale: float,
             dict(kwargs),
         )
     )
-    results = current_runner().map_sweep(tasks)
+    results = current_runner().map(tasks)
 
     taxonomy_holds = True
     ft_600 = (0.0, 0.0)

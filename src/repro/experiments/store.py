@@ -367,11 +367,13 @@ class CacheStats:
     degraded_runs: int = 0
     #: corrupt/truncated on-disk entries unlinked during ``get`` (each
     #: also counts as a miss — the point re-simulates and re-stores).
+    #: A runner counts the evictions its own lookups caused.
     evicted_corrupt: int = 0
-    #: ``map_sweep`` gear-plan points the straightline tiers declined
-    #: at run time (``run_batch`` finished them on the event engine).
+    #: gear-plan points the straightline tiers declined at run time
+    #: (``run_batch`` finished them on the event engine).
     straightline_fallbacks: int = 0
-    #: gear-plan lowering cache reuse across the sweep: hits return a
+    #: gear-plan lowering cache reuse over the runner's ``run_batch``
+    #: calls, summed over its worker processes: hits return a
     #: previously lowered (plan, opoints) action table; misses lower
     #: fresh (and may evict, the per-program table is LRU-bounded).
     lowering_hits: int = 0
@@ -387,7 +389,7 @@ class CacheStats:
     #: cost: stable reason code (``p2p_unclassifiable``,
     #: ``no_compression``, ``dvs_in_flight``, …) → occurrence count,
     #: from ``run_batch``'s ``fallback_reasons`` only.  A declined
-    #: controller (daemon) point goes through ``map``'s per-point
+    #: controller (daemon) point runs by itself through
     #: ``run_workload`` and is counted nowhere.
     fallback_reasons: dict = dataclasses.field(default_factory=dict)
 

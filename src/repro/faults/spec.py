@@ -103,9 +103,10 @@ class FaultSpec:
 
         Every rate is zero and the sensor noise is zero: no draw is
         ever taken, so a run under it is bit-for-bit a clean run.
-        Engine selection (``run_workload``/``map_sweep``) treats such
-        a spec as ``faults=None`` — it does not pin the run to the
-        event engine — while cache keys are unaffected either way.
+        Engine selection (``run_workload``, ``ParallelRunner.map``)
+        treats such a spec as ``faults=None`` — it does not pin the run
+        to the event engine — while cache keys are unaffected either
+        way.
         """
         return not self.active
 

@@ -13,8 +13,10 @@ import json
 import pytest
 
 from repro.core.framework import Measurement
-from repro.experiments.report import render_runner_stats
+from repro.experiments.cli import main
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.store import CacheStats, MeasurementCache
+from repro.workloads import get_workload
 
 
 def _measurement(tag: str = "FT.T.4") -> Measurement:
@@ -204,16 +206,26 @@ def test_stats_render_silent_without_fallback_reasons() -> None:
     assert "fallback reasons" not in CacheStats(hits=1).render()
 
 
-def test_render_runner_stats_includes_disk_line(tmp_path) -> None:
-    class FakeRunner:
-        def __init__(self, cache):
-            self.stats = CacheStats(hits=1, misses=0)
-            self.cache = cache
+def test_runner_stats_count_corrupt_evictions(tmp_path) -> None:
+    w = get_workload("EP", klass="T", nprocs=4)
+    with ParallelRunner(jobs=1, cache_dir=tmp_path) as runner:
+        runner.run(w)
+    assert "corrupt" not in runner.stats.render()
+    [path] = MeasurementCache(tmp_path).entries()
+    path.write_text(path.read_text()[:40])  # truncated mid-write
+    with ParallelRunner(jobs=1, cache_dir=tmp_path) as runner:
+        runner.run(w)
+    assert runner.stats.evicted_corrupt == 1
+    assert (runner.stats.misses, runner.stats.stores) == (1, 1)
+    assert "1 corrupt entries evicted" in runner.stats.render()
 
-    cache = MeasurementCache(tmp_path)
-    quiet = render_runner_stats(FakeRunner(cache))
-    assert "disk" not in quiet
-    cache.stats.evicted_corrupt = 2
-    cache.stats.misses = 2
-    loud = render_runner_stats(FakeRunner(cache))
-    assert "disk" in loud and "2 corrupt entries evicted" in loud
+
+def test_cli_reports_corrupt_evictions(tmp_path, capsys) -> None:
+    argv = ["table2", "--class", "T", "--codes", "EP",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "corrupt entries evicted" not in capsys.readouterr().out
+    path = next(MeasurementCache(tmp_path).entries())
+    path.write_text(path.read_text()[:40])
+    assert main(argv) == 0
+    assert "1 corrupt entries evicted" in capsys.readouterr().out

@@ -74,41 +74,25 @@ def test_default_runner_is_serial_and_uncached():
     assert runner.cache is None
 
 
-# -- chunked sweep submission ------------------------------------------
+# -- one measuring path -----------------------------------------------
 
 
-def test_map_sweep_bit_for_bit_equals_map():
-    w_cg = get_workload("CG", klass="T")
-    w_ft = get_workload("FT", klass="T")
-    tasks = [
-        RunTask(w, ExternalStrategy(mhz=mhz), 0)
-        for w in (w_cg, w_ft)
-        for mhz in FREQS
-    ]
-    with ParallelRunner(jobs=1, memo=False) as runner:
-        serial = runner.map(list(tasks))
-    with ParallelRunner(jobs=2, memo=False) as runner:
-        chunked = runner.map_sweep(list(tasks), chunk_size=2)
-    assert [_summary(m) for m in chunked] == [_summary(m) for m in serial]
+def test_map_sweep_is_an_alias_of_map():
+    assert ParallelRunner.map_sweep is ParallelRunner.map
 
 
 def test_map_sweep_fills_cache_per_point(tmp_path):
     workload = get_workload("CG", klass="T")
     tasks = [RunTask(workload, ExternalStrategy(mhz=mhz), 0) for mhz in FREQS]
     with ParallelRunner(jobs=2, cache_dir=tmp_path) as runner:
-        runner.map_sweep(list(tasks), chunk_size=len(FREQS))
+        # one gear-plan batch group: a single pool task
+        runner.map(list(tasks))
         assert runner.stats.stores == len(FREQS)
-    # A later *unchunked* run hits every individual point.
+    # A later run hits every individual point.
     with ParallelRunner(jobs=1, cache_dir=tmp_path) as runner:
         runner.map(list(tasks))
         assert runner.stats.hits == len(FREQS)
         assert runner.stats.misses == 0
-
-
-def test_map_sweep_rejects_bad_chunk_size():
-    with ParallelRunner(jobs=1) as runner:
-        with pytest.raises(ValueError):
-            runner.map_sweep([], chunk_size=0)
 
 
 # -- memo / cache behaviour --------------------------------------------

@@ -1,12 +1,15 @@
-"""The map_sweep batch tier: grouping, equivalence, cache stability.
+"""The runner's batch tier: grouping, equivalence, cache stability.
 
-``ParallelRunner.map_sweep`` routes straightline-eligible misses of one
-workload+configuration through ``run_batch`` — the results must stay
-bit-for-bit identical to ``map``'s per-point path, and the cache keys
-(slots) must be exactly the ones the event engine has always used.
+``ParallelRunner.map`` routes straightline-eligible misses of one
+workload+configuration through ``run_batch``, inline or as one pool
+task — the results must stay bit-for-bit identical to per-point
+``run_workload``, and the cache keys (slots) must be exactly the ones
+the event engine has always used.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core.framework import run_workload
 from repro.core.strategies import (
@@ -19,6 +22,7 @@ from repro.core.strategies import (
 )
 from repro.experiments.parallel import ParallelRunner, RunTask, use
 from repro.experiments.store import MeasurementCache, cache_key
+from repro.experiments.tables import table2
 from repro.workloads import get_workload
 
 
@@ -41,17 +45,44 @@ def _grid_tasks():
     return tasks
 
 
-def test_map_sweep_equals_map_bitwise() -> None:
-    a = ParallelRunner(jobs=1, memo=False).map(_grid_tasks())
-    b = ParallelRunner(jobs=1, memo=False).map_sweep(_grid_tasks())
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_equals_per_point_run_workload(jobs) -> None:
+    tasks = _grid_tasks()
+    direct = [
+        run_workload(t.workload, t.strategy, seed=t.seed, **t.kwargs)
+        for t in tasks
+    ]
+    with ParallelRunner(jobs=jobs, memo=False) as runner:
+        mapped = runner.map(_grid_tasks())
+    assert len(mapped) == len(direct)
+    for x, y in zip(mapped, direct):
         assert x == y
 
 
+def _table2_stats(jobs):
+    with ParallelRunner(jobs=jobs, memo=True) as runner, use(runner):
+        rows = table2(klass="T")
+    return rows, runner.stats
+
+
+def test_table2_counts_lowering_and_fallbacks_at_any_jobs() -> None:
+    # Table 2's 40 gear-plan points go through run_batch inline and in
+    # the pool alike, so both record the same tier telemetry.
+    serial_rows, serial = _table2_stats(1)
+    pooled_rows, pooled = _table2_stats(2)
+    assert serial.lowering_misses > 0
+    assert pooled.lowering_hits + pooled.lowering_misses == (
+        serial.lowering_hits + serial.lowering_misses
+    )
+    assert serial.fallback_reasons == pooled.fallback_reasons
+    assert serial.straightline_fallbacks == pooled.straightline_fallbacks
+    for code, row in serial_rows.items():
+        assert row.columns == pooled_rows[code].columns
+
+
 def test_ablation_helpers_route_through_sweep_unchanged() -> None:
-    # ablations/sensitivity now submit through map_sweep; their numbers
-    # must be pinned to the direct per-point path.
+    # ablations/sensitivity submit through the runner's batch path;
+    # their numbers must be pinned to the direct per-point path.
     from repro.experiments.ablations import transition_latency_study
 
     direct = transition_latency_study(
@@ -74,7 +105,7 @@ def test_batch_results_fill_cache_slots(tmp_path) -> None:
         for mhz in (600.0, 1000.0, 1400.0)
     ]
     runner = ParallelRunner(jobs=1, cache_dir=tmp_path, memo=False)
-    swept = runner.map_sweep(tasks)
+    swept = runner.map(tasks)
     assert runner.stats.misses == 3 and runner.stats.stores == 3
     replay = ParallelRunner(jobs=1, cache_dir=tmp_path, memo=False)
     again = replay.map(tasks)
@@ -93,7 +124,7 @@ def test_sweep_surfaces_structured_fallback_reasons() -> None:
         for mhz in (600.0, 1000.0, 1400.0)
     ]
     runner = ParallelRunner(jobs=1, memo=False)
-    runner.map_sweep(tasks)
+    runner.map(tasks)
     assert runner.stats.fallback_reasons.get("p2p_unclassifiable", 0) >= 1
     assert "p2p_unclassifiable" in runner.stats.render()
 
@@ -108,7 +139,7 @@ def test_sweep_classified_p2p_never_declines_on_classification() -> None:
         for mhz in (600.0, 1000.0, 1400.0)
     ]
     runner = ParallelRunner(jobs=1, memo=False)
-    runner.map_sweep(tasks)
+    runner.map(tasks)
     assert not any(r.startswith("p2p_") for r in runner.stats.fallback_reasons)
     assert runner.stats.straightline_fallbacks == 0
 
@@ -116,7 +147,7 @@ def test_sweep_classified_p2p_never_declines_on_classification() -> None:
 def test_declined_controller_point_simulates_once(
     monkeypatch, event_engine_runs
 ) -> None:
-    # A controller point the straightline tier declines in map_sweep
+    # A controller point the straightline tier declines in map
     # goes straight to the event engine: one straightline attempt and
     # one event-engine run per point.
     from repro.sim import straightline as sl
@@ -133,7 +164,7 @@ def test_declined_controller_point_simulates_once(
     ft = get_workload("FT", klass="T", nprocs=4)
     tasks = [RunTask(ft, CpuspeedDaemonStrategy(), seed) for seed in (0, 1)]
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep(tasks)
+    swept = runner.map(tasks)
     assert attempts == [0, 1]
     assert len(event_engine_runs) == 2
     for task, m in zip(tasks, swept):
@@ -165,7 +196,7 @@ def test_declined_gear_plan_point_is_tried_once(
         for mhz in (600.0, 1000.0, 1400.0)
     ]
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep(tasks)
+    swept = runner.map(tasks)
     assert attempts.count(600.0) == 1
     assert len(event_engine_runs) == 1
     assert runner.stats.straightline_fallbacks == 1
@@ -194,7 +225,7 @@ def test_uncompilable_sweep_compiles_once(monkeypatch) -> None:
         for mhz in (600.0, 1000.0, 1400.0)
     ]
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep(tasks)
+    swept = runner.map(tasks)
     assert len(compiles) == 1
     assert runner.stats.straightline_fallbacks == 3
     assert runner.stats.fallback_reasons == {"compile_error": 3}
@@ -228,7 +259,7 @@ def test_event_engine_cache_entry_replays_into_sweep(tmp_path) -> None:
     cache.put(key, event)
 
     runner = ParallelRunner(jobs=1, cache_dir=tmp_path, memo=False)
-    [hit] = runner.map_sweep([RunTask(ft, strategy, 0)])
+    [hit] = runner.map([RunTask(ft, strategy, 0)])
     assert runner.stats.hits == 1
     assert hit == event
 

@@ -169,6 +169,21 @@ class TestPoolFailureSurfacing:
         assert err.value.task.seed == 3
         assert err.value.attempts == 1
 
+    def test_gear_plan_failure_surfaces_through_the_pool(self):
+        """A batched gear-plan miss runs inside the pool too, so its
+        failure names the task like any other pool failure."""
+        tasks = [
+            RunTask(CpuBound(seconds=0.01)),
+            RunTask(ExplodingWorkload(seconds=0.01),
+                    strategy=ExternalStrategy(mhz=800), seed=3),
+        ]
+        with ParallelRunner(jobs=2, memo=False, task_retries=0) as r:
+            with pytest.raises(TaskFailedError) as err:
+                r.map_sweep(tasks)
+        assert err.value.task.seed == 3
+        assert "seed=3" in str(err.value)
+        assert "boom: injected test failure" in str(err.value)
+
     def test_serial_path_raises_the_original_exception(self):
         """Inline (jobs=1) execution keeps the plain exception."""
         with ParallelRunner(jobs=1, memo=False) as r:

@@ -198,7 +198,7 @@ def test_map_sweep_routes_daemons_through_sampled_tier(
     wl = _workload("FT")
     tasks = [RunTask(wl, _cpuspeed(0.1), seed) for seed in (0, 1)]
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep(list(tasks))
+    swept = runner.map(list(tasks))
     # Clean daemon runs must not have fallen back to the event engine.
     assert not event_engine_runs
     direct = [

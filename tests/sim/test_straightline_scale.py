@@ -429,7 +429,7 @@ def test_runner_stats_surface_lowering_reuse() -> None:
         for seed in (0, 1, 2)
     ]
     with ParallelRunner(jobs=1, memo=False) as runner:
-        runner.map_sweep(list(tasks), chunk_size=len(tasks))
+        runner.map(list(tasks))
         assert runner.stats.lowering_misses >= 1
         rendered = runner.stats.render()
     assert "lowering" in rendered

@@ -23,7 +23,6 @@ from repro.core.strategies import (
 )
 from repro.core.strategies.base import Strategy
 from repro.experiments.parallel import ParallelRunner, RunTask
-from repro.experiments.report import render_runner_stats
 from repro.experiments.store import MODEL_VERSION, cache_key
 from repro.faults.spec import FaultSpec
 from repro.sim.straightline import StraightlineUnsupported, run_straightline
@@ -360,14 +359,14 @@ def test_map_sweep_routes_stateful_controllers(event_engine_runs) -> None:
     tasks = [RunTask(wl, _beta(), seed) for seed in (0, 1)]
     tasks += [RunTask(wl, _powercap(90.0), 0)]
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep(list(tasks))
+    swept = runner.map(list(tasks))
     assert not event_engine_runs  # every point served by the fast tier
     direct = [
         run_workload(wl, _beta(), seed=seed, engine="event") for seed in (0, 1)
     ] + [run_workload(wl, _powercap(90.0), seed=0, engine="event")]
     for fast, ref in zip(swept, direct):
         assert_identical(fast, ref)
-    assert "event-engine fallbacks" not in render_runner_stats(runner)
+    assert "event-engine fallbacks" not in runner.stats.render()
 
 
 def test_map_sweep_treats_noop_spec_as_clean(event_engine_runs) -> None:
@@ -378,7 +377,7 @@ def test_map_sweep_treats_noop_spec_as_clean(event_engine_runs) -> None:
         RunTask(wl, _powercap(90.0), 0, kwargs={"faults": spec}),
     ]
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep(list(tasks))
+    swept = runner.map(list(tasks))
     # routed through the fast tier, not the event engine
     assert not event_engine_runs
     direct = [
@@ -395,7 +394,7 @@ def test_map_sweep_active_spec_still_uses_event_engine(
     wl = _workload("FT")
     spec = FaultSpec(seed=5, transition_fail_rate=0.5)
     runner = ParallelRunner(jobs=1, memo=False)
-    swept = runner.map_sweep([RunTask(wl, _beta(), 0, kwargs={"faults": spec})])
+    swept = runner.map([RunTask(wl, _beta(), 0, kwargs={"faults": spec})])
     assert len(event_engine_runs) == 1
     ref = run_workload(wl, _beta(), seed=0, faults=spec, engine="event")
     assert_identical(swept[0], ref)
