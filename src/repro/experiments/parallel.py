@@ -137,6 +137,9 @@ _BATCH_KWARGS = frozenset(
 #: Most non-batchable misses one pool task carries.
 _MAX_CHUNK = 32
 
+#: How long a recycle waits for the old pool's manager thread to exit.
+_RECYCLE_JOIN_S = 10.0
+
 
 def _batch_group(task: RunTask) -> Optional[tuple]:
     """The (workload, configuration) identity a gear-plan miss batches
@@ -549,16 +552,26 @@ class ParallelRunner:
         return results  # type: ignore[return-value]
 
     def _recycle_pool(self) -> None:
-        """Tear down a broken/hung pool without waiting on its workers."""
+        """Tear down a broken/hung pool without waiting on its workers.
+
+        The workers are terminated, not drained.  The old pool's
+        manager thread is then joined (for at most ``_RECYCLE_JOIN_S``):
+        the next pool forks its workers from this process, and a fork
+        taken while that thread still runs can copy a lock it holds
+        into a worker, which then blocks on it for ever.
+        """
         pool, self._pool = self._pool, None
         if pool is None:
             return
+        manager = getattr(pool, "_executor_manager_thread", None)
         for proc in getattr(pool, "_processes", None) or {}:
             try:
                 pool._processes[proc].terminate()
             except Exception:  # pragma: no cover - best effort
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            manager.join(_RECYCLE_JOIN_S)
 
 
 #: The runner the experiment surface routes through by default: serial,

@@ -13,11 +13,14 @@ call per round — each distinct plan runs once on its quotient program,
 one interpreter rank per rank group — and kept only when they satisfy
 the paper's hard performance constraint (``time <= (1 + delta) x
 no-DVS baseline``) and are not energy-delay dominated by an
-already-known plan.  The search refines the surviving
-frontier with coordinate-descent/beam steps (every single-cell variant
-of every frontier plan) until a round discovers nothing new; spaces
-small enough to enumerate are searched exhaustively instead, which
-doubles as the brute-force-verified fallback.
+already-known plan.  The constraint reads elapsed time alone, so a plan
+that ends past it is scored by that time only: ``run_batch`` gets the
+cap as its deadline and never integrates the plan's energy.  The
+search refines the surviving frontier with coordinate-descent/beam
+steps (every single-cell variant of every frontier plan) until a round
+discovers nothing new; spaces small enough to enumerate are searched
+exhaustively instead, which doubles as the brute-force-verified
+fallback.
 
 The winner is an :class:`~repro.optimize.plan.OptimalPlanStrategy` — a
 plain ``gear_plan()`` strategy that runs on the existing
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.core.framework import Measurement
 from repro.optimize.plan import OptimalPlanStrategy
@@ -98,6 +101,9 @@ class SearchTelemetry:
     #: candidates ``run_batch`` declined onto the event engine (its
     #: ``event_points``; none on any NPB shape).
     scalar_fallbacks: int = 0
+    #: candidates scored by elapsed time alone: their straightline run
+    #: ended past the delay cap, so no energy was integrated.
+    over_cap: int = 0
 
 
 @dataclass
@@ -129,8 +135,8 @@ class OptimizeResult:
             + (" [exhaustive]" if t.exhaustive else
                f" [{t.rounds} frontier rounds]"),
             f"  evaluated {t.candidates_evaluated} candidates "
-            f"({t.candidates_pruned} pruned) in {t.batches} batches "
-            f"(largest {t.max_batch})",
+            f"({t.candidates_pruned} pruned, {t.over_cap} over the cap) "
+            f"in {t.batches} batches (largest {t.max_batch})",
             f"  winner: {self.best.strategy.describe()} -> "
             f"delay {self.best.norm_delay:.3f}, "
             f"energy {self.best.norm_energy:.3f}",
@@ -228,7 +234,9 @@ def optimize_gear_plan(
         transition_latency_s=transition_latency_s,
     )
 
-    memo: dict[tuple[int, ...], Measurement] = {}
+    #: assignment -> its measurement, or ``None`` for a plan that ran
+    #: past the cap (scored by elapsed time alone).
+    memo: dict[tuple[int, ...], Optional[Measurement]] = {}
 
     def make_strategy(assignment: tuple[int, ...]) -> OptimalPlanStrategy:
         table = [
@@ -236,7 +244,10 @@ def optimize_gear_plan(
         ]
         return OptimalPlanStrategy(group_of, phases, table)
 
-    def evaluate(assignments: Sequence[tuple[int, ...]]) -> None:
+    def evaluate(
+        assignments: Sequence[tuple[int, ...]],
+        deadline_s: Optional[float] = None,
+    ) -> None:
         """Measure every unseen assignment into ``memo``.
 
         One ``run_batch`` call per round: it compiles the workload
@@ -244,7 +255,8 @@ def optimize_gear_plan(
         execution partition of a group-uniform candidate is the body
         partition, or the identity where the channel classifier
         declines) and finishes any point the fast tier declines on the
-        event engine.
+        event engine.  A plan that runs past ``deadline_s`` is stored
+        as ``None``.
         """
         fresh = [a for a in dict.fromkeys(assignments) if a not in memo]
         if not fresh:
@@ -254,6 +266,7 @@ def optimize_gear_plan(
             workload,
             [(make_strategy(a), seed) for a in fresh],
             stats=info,
+            deadline_s=deadline_s,
             **run_kwargs,
         )
         telemetry.batches += 1
@@ -262,28 +275,37 @@ def optimize_gear_plan(
         for a, m in zip(fresh, measured):
             memo[a] = m
         telemetry.candidates_evaluated += len(fresh)
+        telemetry.over_cap += measured.count(None)
 
     baseline_assignment = (K - 1,) * n_cells
     evaluate([baseline_assignment])
     baseline = memo[baseline_assignment]
     cap = (1.0 + delta) * baseline.elapsed_s
+    # A run is infeasible iff it ends past this: the exact negation of
+    # the ``feasible`` test below (``elapsed_s`` is ``float(t_end)``).
+    deadline = cap * (1.0 + _EPS)
 
-    def candidate(assignment: tuple[int, ...]) -> PlanCandidate:
-        m = memo[assignment]
-        d, e = m.normalized_against(baseline)
-        feasible = m.elapsed_s <= cap * (1.0 + _EPS)
-        return PlanCandidate(assignment, make_strategy(assignment), m, d, e, feasible)
+    def candidates(assignments) -> list[PlanCandidate]:
+        """The scored plans among ``assignments``; over-cap ones drop."""
+        out = []
+        for a in assignments:
+            m = memo[a]
+            if m is not None:
+                d, e = m.normalized_against(baseline)
+                out.append(PlanCandidate(a, make_strategy(a), m, d, e,
+                                         m.elapsed_s <= deadline))
+        return out
 
     if space_size <= EXHAUSTIVE_LIMIT:
         telemetry.exhaustive = True
         everything = [
             tuple(a) for a in itertools.product(range(K), repeat=n_cells)
         ]
-        evaluate(everything)
-        frontier = _prune([candidate(a) for a in everything])
+        evaluate(everything, deadline)
+        frontier = _prune(candidates(everything))
     else:
-        evaluate(_seed_assignments(G, P, K, GROUP_SEED_LIMIT))
-        frontier = _prune([candidate(a) for a in memo])
+        evaluate(_seed_assignments(G, P, K, GROUP_SEED_LIMIT), deadline)
+        frontier = _prune(candidates(memo))
         while telemetry.rounds < MAX_ROUNDS:
             telemetry.rounds += 1
             seeds = sorted(frontier, key=lambda c: c.energy_j)[:BEAM_WIDTH]
@@ -295,11 +317,9 @@ def optimize_gear_plan(
             ]
             if not neighbors:
                 break
-            evaluate(neighbors)
+            evaluate(neighbors, deadline)
             before = {c.assignment for c in frontier}
-            frontier = _prune(
-                frontier + [candidate(a) for a in dict.fromkeys(neighbors)]
-            )
+            frontier = _prune(frontier + candidates(dict.fromkeys(neighbors)))
             if {c.assignment for c in frontier} == before:
                 break  # converged: the round changed nothing
 

@@ -44,6 +44,7 @@ genuine program errors (deadlocks, mismatched collectives).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Optional
 from weakref import WeakKeyDictionary
 
@@ -271,12 +272,23 @@ def _lower_gear_actions(compiled: CompiledProgram, plan, opoints) -> _LoweredPla
         for rank, rkey in enumerate(rank_keys):
             row = row_of.get(rkey)
             if row is None:
-                row = tuple(  # inexact MHz: by_mhz's tolerant scan
-                    (pos, exact[mhz] if mhz in exact
-                     else opoints.index_of(opoints.by_mhz(mhz)))
-                    for pos, kind, phase in compiled.markers[rank]
-                    for mhz in plan.calls_at(kind, phase, rank)
-                )
+                # One plan query per hook site, at the site's first
+                # marker: a failing site raises where a per-marker walk
+                # would, and later markers of a site reuse its targets.
+                targets_at: dict = {}  # (kind, phase) -> target indices
+                row = []
+                for pos, kind, phase in compiled.markers[rank]:
+                    targets = targets_at.get((kind, phase))
+                    if targets is None:
+                        targets = targets_at[kind, phase] = tuple(
+                            # inexact MHz: by_mhz's tolerant scan
+                            exact[mhz] if mhz in exact
+                            else opoints.index_of(opoints.by_mhz(mhz))
+                            for mhz in plan.calls_at(kind, phase, rank)
+                        )
+                    for target in targets:
+                        row.append((pos, target))
+                row = tuple(row)
                 row = row_of[rkey] = rows_by_content.setdefault(row, row)
             rows.append(row)
     except (KeyError, IndexError, ValueError) as exc:
@@ -335,10 +347,14 @@ class _Slot:
         self.done_t: Optional[float] = None
 
 
+#: ``_Rank.next_act`` of a rank with no action left: past every op.
+_NO_ACTION = sys.maxsize
+
+
 class _Rank:
     __slots__ = ("rank", "pc", "t", "phase", "wait_req", "coll_seq", "spawn",
                  "finish", "ops", "iargs", "fargs", "node", "acts", "act_i",
-                 "rbase")
+                 "next_act", "rbase")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -357,9 +373,11 @@ class _Rank:
         self.fargs: list = []
         self.node: Optional[_Node] = None
         # Gear actions: (op position, target index) pairs in program
-        # order; act_i is the cursor of the next unapplied action.
+        # order; act_i is the cursor of the next unapplied action and
+        # next_act its op position (_NO_ACTION once none is left).
         self.acts: list[tuple] = []
         self.act_i = 0
+        self.next_act = _NO_ACTION
 
 
 class _Executor:
@@ -417,6 +435,8 @@ class _Executor:
             r.node = nodes[r.rank]
             if gear_actions:
                 r.acts = gear_actions[r.rank]
+                if r.acts:
+                    r.next_act = r.acts[0][0]
         self._seq = 0
         self._seq_late = 1 << 62
         self._dirty = False
@@ -491,10 +511,12 @@ class _Executor:
     def _apply_actions(self, r: _Rank, pc: int) -> None:
         acts = r.acts
         i = r.act_i
-        while i < len(acts) and acts[i][0] <= pc:
+        n = len(acts)
+        while i < n and acts[i][0] <= pc:
             self._apply_gear(r, acts[i][1])
             i += 1
         r.act_i = i
+        r.next_act = acts[i][0] if i < n else _NO_ACTION
 
     def _apply_gear(self, r: _Rank, target: int) -> None:
         """One lowered ``set_cpuspeed`` call at the rank's current time.
@@ -504,6 +526,12 @@ class _Executor:
         boundary, no meter update), then — only when the operating
         point actually changes — the transition-latency stall and the
         gear breakpoint where ``set_speed_index`` notifies the meter.
+
+        The overhead's TOUCH breakpoint is emitted only for a call that
+        keeps the gear.  A gear change's GEAR breakpoint lands at the
+        same instant with the next ``seq``, so a TOUCH there would sit
+        inside the GEAR's same-time group in :meth:`finalize` and change
+        nothing; a no-op call's lone TOUCH is a real histogram boundary.
         """
         node = r.node
         t = r.t
@@ -512,12 +540,14 @@ class _Executor:
             # the transition; the straightline FIFO cannot.
             raise StraightlineUnsupported("DVS call while a segment is in flight",
                                     reason="dvs_in_flight")
+        change = target != node.index
         overhead = self.dvs_overhead_s
         if overhead != 0.0:
             base = node.stall_until if node.stall_until > t else t
             node.stall_until = base + overhead
-            self._emit(node, t, _EV_TOUCH, None)
-        if target != node.index:
+            if not change:
+                self._emit(node, t, _EV_TOUCH, None)
+        if change:
             op = self.opoints[target]
             base = node.stall_until if node.stall_until > t else t
             node.stall_until = base + self.transition_latency_s
@@ -693,7 +723,7 @@ class _Executor:
             return
         ops = r.ops
         pc = r.pc
-        if r.act_i < len(r.acts):
+        if pc >= r.next_act:
             # Lowered hook calls fire before the op recorded after them
             # (the hook runs synchronously before the program's next
             # yield in the engine).
@@ -2147,7 +2177,7 @@ def _merge_hists_nodewise(nprocs: int, members: list[list[int]],
 
 def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
                  opoints, actions: _LoweredPlan, transition_latency_s: float,
-                 trace=None):
+                 trace=None, deadline_s: Optional[float] = None):
     """Evaluate a static/piecewise-static run on the quotient program.
 
     ``part`` is the ``(exec_of, members)`` execution partition.
@@ -2164,7 +2194,8 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
     interpreted rank's events; pass it only with the identity partition.
 
     Returns ``(t_end, e_nodes, time_at, transitions)`` with ``e_nodes``
-    an (N,) array of per-node energies.
+    an (N,) array of per-node energies, or ``None`` when the run ends
+    past ``deadline_s``: nothing is integrated then.
     """
     import numpy as np
 
@@ -2180,6 +2211,8 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
         trace=trace,
     )
     t_end = ex.run()
+    if deadline_s is not None and t_end > deadline_s:
+        return None
     energies_g, hists_g = ex.finalize(t_end)
     # Each group's transitions count once per member node.
     transitions = sum(len(m) * nd.gears for m, nd in zip(members, ex.nodes))
@@ -2190,7 +2223,8 @@ def _run_grouped(compiled: CompiledProgram, part: tuple, cost, net, power,
 
 def _run_plan(workload, strategy, compiled: CompiledProgram,
               lowered: _LoweredPlan, net, power, opoints,
-              transition_latency_s: float, trace=None):
+              transition_latency_s: float, trace=None,
+              deadline_s: Optional[float] = None):
     """Measure one lowered gear plan on its quotient program.
 
     The one per-plan path of :func:`run_straightline` and
@@ -2198,6 +2232,7 @@ def _run_plan(workload, strategy, compiled: CompiledProgram,
     ``reason`` is the partition's decline code (``None`` when it
     compresses exactly, else why the run fell to the identity) and
     ``groups`` the execution group count (= nprocs on the identity).
+    ``measurement`` is ``None`` when the run ends past ``deadline_s``.
     A traced run (``trace`` a :class:`~repro.trace.events.TraceLog`)
     skips the partition and runs on the identity with ``reason``
     ``None``: every rank then records its own events.  Raises
@@ -2209,10 +2244,13 @@ def _run_plan(workload, strategy, compiled: CompiledProgram,
     else:
         n = compiled.nprocs
         part, reason = (list(range(n)), [[r] for r in range(n)]), None
-    t_end, e_nodes, time_at, transitions = _run_grouped(
+    run = _run_grouped(
         compiled, part, workload.cost_model(), net, power, opoints, lowered,
-        transition_latency_s, trace=trace,
+        transition_latency_s, trace=trace, deadline_s=deadline_s,
     )
+    if run is None:
+        return None, reason, len(part[1])
+    t_end, e_nodes, time_at, transitions = run
     measurement = _measurement(workload, strategy, t_end, e_nodes, time_at,
                                transitions, trace=trace)
     return measurement, reason, len(part[1])
@@ -2227,6 +2265,7 @@ def run_batch(
     opoints=None,
     transition_latency_s: float = 20e-6,
     stats: Optional[dict] = None,
+    deadline_s: Optional[float] = None,
 ):
     """Measure many ``(strategy, seed)`` points of one workload at once.
 
@@ -2257,6 +2296,13 @@ def run_batch(
     point's plan too, since event-engine results may depend on the
     seed.  A decline never raises; a genuine error of the event engine
     does.
+
+    ``deadline_s``, when given, is a cap on elapsed time for the
+    callers that only rank plans within it: a plan whose straightline
+    run ends past it (``t_end > deadline_s``) comes back as ``None`` for
+    every point holding it, and its energy is never integrated.  A
+    declined point still runs on the event engine and is measured in
+    full.  The deadline changes no other result and no ``stats`` count.
 
     ``stats``, when given, accumulates tier telemetry: points measured
     per tier (``quotient_points`` / ``event_points``; a duplicate
@@ -2329,7 +2375,7 @@ def run_batch(
             lowered = _lower_gear_actions(compiled, plan, opoints)
             m, reason, _groups = _run_plan(
                 workload, strat, compiled, lowered, net, power, opoints,
-                transition_latency_s,
+                transition_latency_s, deadline_s=deadline_s,
             )
         except _DECLINES as exc:
             outcome[plan] = exc
@@ -2345,10 +2391,11 @@ def run_batch(
             if isinstance(m, Exception):
                 decline(i, m)
                 continue
-            results[i] = dataclasses.replace(
-                m, strategy=points[i][0].describe(),
-                per_node_energy_j=dict(m.per_node_energy_j),
-                time_at_mhz=dict(m.time_at_mhz), extras=dict(m.extras),
-            )
+            if m is not None:  # None: the plan ran past the deadline
+                results[i] = dataclasses.replace(
+                    m, strategy=points[i][0].describe(),
+                    per_node_energy_j=dict(m.per_node_energy_j),
+                    time_at_mhz=dict(m.time_at_mhz), extras=dict(m.extras),
+                )
             _note("quotient_points")
     return results

@@ -183,11 +183,11 @@ def test_declined_gear_plan_point_is_tried_once(
     real = sl._run_plan
     attempts: list[float] = []
 
-    def refuse_600(workload, strategy, *args):
+    def refuse_600(workload, strategy, *args, **kwargs):
         attempts.append(strategy.mhz)
         if strategy.mhz == 600.0:
             raise sl.StraightlineUnsupported("refused for the test")
-        return real(workload, strategy, *args)
+        return real(workload, strategy, *args, **kwargs)
 
     monkeypatch.setattr(sl, "_run_plan", refuse_600)
     mg = get_workload("MG", klass="T", nprocs=8)

@@ -10,6 +10,7 @@ traceback* as :class:`TaskFailedError` instead of an opaque
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Callable, Generator
 
@@ -183,6 +184,22 @@ class TestPoolFailureSurfacing:
         assert err.value.task.seed == 3
         assert "seed=3" in str(err.value)
         assert "boom: injected test failure" in str(err.value)
+
+    def test_failure_leaves_no_pool_thread_running(self):
+        """The recycled pool's manager thread has exited once the
+        failure surfaces, so the next pool never forks its workers
+        while that thread may hold a lock they would inherit."""
+        before = set(threading.enumerate())
+        tasks = [
+            RunTask(CpuBound(seconds=0.01)),
+            RunTask(ExplodingWorkload(seconds=0.01),
+                    strategy=ExternalStrategy(mhz=800), seed=3),
+        ]
+        runner = ParallelRunner(jobs=2, memo=False, task_retries=0)
+        with pytest.raises(TaskFailedError):
+            runner.map(tasks)
+        assert set(threading.enumerate()) <= before
+        runner.close()
 
     def test_serial_path_raises_the_original_exception(self):
         """Inline (jobs=1) execution keeps the plain exception."""

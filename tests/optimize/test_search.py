@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.framework import run_workload
 from repro.experiments.store import CacheStats
 from repro.optimize import OptimalPlanStrategy, optimize_gear_plan, search
+from repro.workloads.npb.cg import CG
 from repro.workloads.npb.ft import FT
 
 from tests.optimize.conftest import TwoGroupWorkload
@@ -183,6 +186,7 @@ def test_render_lists_frontier_and_winner(two_group, three_gears) -> None:
     assert "Optimal gear plan for T2.T.4" in text
     assert "delay cap 1.080" in text
     assert "[exhaustive]" in text
+    assert f"{res.telemetry.over_cap} over the cap" in text
     assert res.best.strategy.describe() in text
     assert text.count("delay ") >= len(res.frontier)
 
@@ -238,3 +242,119 @@ def test_rejects_phase_free_workloads(three_gears) -> None:
 def test_rejects_negative_delta(two_group) -> None:
     with pytest.raises(ValueError, match="non-negative"):
         optimize_gear_plan(two_group, delta=-0.1, stats=CacheStats())
+
+
+# ----------------------------------------------------------------------
+# Over-cap plans are scored by elapsed time alone
+# ----------------------------------------------------------------------
+def _bits(m) -> tuple:
+    """A measurement's scored fields, floats as ``float.hex``."""
+    return (
+        m.workload, m.strategy, m.elapsed_s.hex(), m.energy_j.hex(),
+        tuple((n, e.hex()) for n, e in m.per_node_energy_j.items()),
+        m.dvs_transitions,
+        tuple((f.hex(), t.hex()) for f, t in m.time_at_mhz.items()),
+        m.extras,
+    )
+
+
+def _candidate_bits(c) -> tuple:
+    return (c.assignment, c.strategy.table, _bits(c.measurement),
+            c.norm_delay.hex(), c.norm_energy.hex(), c.feasible)
+
+
+SEARCHES = {
+    "two_group": (lambda: TwoGroupWorkload(nprocs=4, steps=3), 0.08, True,
+                  None),
+    "two_group-frontier": (lambda: TwoGroupWorkload(nprocs=4, steps=3),
+                           0.08, True, 0),
+    "FT.T.8": (lambda: FT(klass="T", nprocs=8), 0.05, False, None),
+    "CG.T.8": (lambda: CG(klass="T", nprocs=8), 0.05, False, None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def search_with_and_without_deadline(name: str):
+    """``(shipped, full, scored)``: the search as shipped, the same
+    search with ``run_batch`` measuring every plan in full (its
+    ``deadline_s`` dropped), and every measurement the full run took."""
+    from repro.hardware.opoints import PENTIUM_M_TABLE, OperatingPointTable
+    from repro.sim import straightline as sl
+
+    make, delta, three_gears, exhaustive_limit = SEARCHES[name]
+    opoints = (
+        OperatingPointTable(
+            [PENTIUM_M_TABLE[0], PENTIUM_M_TABLE[2], PENTIUM_M_TABLE[4]]
+        )
+        if three_gears else None
+    )
+    real_run_batch = sl.run_batch
+    scored: list = []
+
+    def run_batch_in_full(workload, points, *, deadline_s=None, **kwargs):
+        measured = real_run_batch(workload, points, **kwargs)
+        scored.extend(measured)
+        return measured
+
+    with pytest.MonkeyPatch.context() as mp:
+        if exhaustive_limit is not None:
+            mp.setattr(search, "EXHAUSTIVE_LIMIT", exhaustive_limit)
+        shipped = optimize_gear_plan(make(), delta=delta, opoints=opoints,
+                                     stats=CacheStats())
+        mp.setattr(sl, "run_batch", run_batch_in_full)
+        full = optimize_gear_plan(make(), delta=delta, opoints=opoints,
+                                  stats=CacheStats())
+    return shipped, full, scored
+
+
+def within_cap(res, scored) -> int:
+    cap = (1 + res.delta) * res.baseline.elapsed_s
+    return sum(m.elapsed_s <= cap * (1 + 1e-9) for m in scored)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_over_cap_scoring_changes_no_result(name) -> None:
+    shipped, full, scored = search_with_and_without_deadline(name)
+    assert _bits(shipped.baseline) == _bits(full.baseline)
+    assert _candidate_bits(shipped.best) == _candidate_bits(full.best)
+    assert ([_candidate_bits(c) for c in shipped.frontier]
+            == [_candidate_bits(c) for c in full.frontier])
+    got = dataclasses.asdict(shipped.telemetry)
+    expected = dataclasses.asdict(full.telemetry)
+    assert expected.pop("over_cap") == 0
+    over_cap = got.pop("over_cap")
+    assert got == expected
+    assert over_cap == len(scored) - within_cap(full, scored) > 0
+
+
+def test_over_cap_counts_plans_past_the_cap() -> None:
+    shipped, full, scored = search_with_and_without_deadline("FT.T.8")
+    t = shipped.telemetry
+    assert t.exhaustive and t.candidates_evaluated == 625
+    assert t.over_cap == t.candidates_evaluated - within_cap(full, scored)
+    assert f"({t.candidates_pruned} pruned, {t.over_cap} over the cap)" in (
+        shipped.render()
+    )
+
+
+def test_energy_is_integrated_only_within_the_cap(
+    two_group, three_gears, monkeypatch
+) -> None:
+    # One finalize per plan within the cap, the baseline included; a
+    # plan past the cap is decided by its elapsed time alone.
+    from repro.sim import straightline as sl
+
+    _shipped, full, scored = search_with_and_without_deadline("two_group")
+    finalized: list = []
+    real_finalize = sl._Executor.finalize
+
+    def finalize(self, t_end):
+        finalized.append(t_end)
+        return real_finalize(self, t_end)
+
+    monkeypatch.setattr(sl._Executor, "finalize", finalize)
+    res = optimize_gear_plan(two_group, delta=0.08, opoints=three_gears,
+                             stats=CacheStats())
+    assert len(finalized) == within_cap(full, scored) < len(scored)
+    cap = 1.08 * res.baseline.elapsed_s
+    assert max(finalized) <= cap * (1 + 1e-9)

@@ -1,16 +1,19 @@
 """Group-level gear-plan lowering equals the rank-by-rank walk.
 
 :func:`repro.sim.straightline._lower_gear_actions` lowers each distinct
-(body group, per-rank call data) key once and shares the row across
-the ranks holding it.  These properties pin it against a test-local
-copy of the rank-by-rank loop it replaced, on generated plans: per-rank
+(body group, per-rank call data) key once, querying the plan once per
+hook site, and shares the row across the ranks holding it.  These
+properties pin it against a test-local copy of the rank-by-rank,
+marker-by-marker loop it replaced, on generated plans: per-rank
 ``init_calls``, homogeneous and per-rank phase tables (short ones
 included), per-rank setup speeds and inexact or unknown MHz values, on
 EP (one body group), CG (two) and MG (several, no quotient
-compression).
+compression), and on the optimizer's per-group, per-phase tables.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.strategies.base import GearPlan
 from repro.hardware.opoints import PENTIUM_M_TABLE
+from repro.optimize.plan import OptimalPlanStrategy
 from repro.sim.straightline import (
     _ACTIONS_CACHE,
     StraightlineUnsupported,
@@ -26,7 +30,7 @@ from repro.sim.straightline import (
     lowering_cache_counters,
 )
 from repro.workloads.compile import CompileError, compile_workload
-from repro.workloads.npb import CG, EP, MG
+from repro.workloads.npb import CG, EP, FT, MG
 
 PROGRAMS = {
     name: (workload, compile_workload(workload, 1.4e9))
@@ -209,3 +213,50 @@ def test_short_table_raises_only_where_markers_use_it() -> None:
     with pytest.raises(CompileError, match="IndexError"):
         _lower_gear_actions(compiled, GearPlan(init_calls=short),
                             PENTIUM_M_TABLE)
+
+
+def optimizer_tables(workload, compiled, rng: random.Random):
+    """One random per-group, per-phase MHz table for ``workload``."""
+    return [
+        [rng.choice(TABLE_MHZ) for _ in workload.phases]
+        for _ in range(compiled.n_groups)
+    ]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FT(klass="T", nprocs=8),
+    lambda: CG(klass="T", nprocs=8),
+    lambda: MG(klass="T", nprocs=8),
+], ids=["FT", "CG", "MG"])
+def test_optimizer_plans_lower_like_the_marker_walk(make) -> None:
+    # A per-group, per-phase table repeats its (kind, phase) hook sites
+    # at every iteration: the per-site lowering must give the same rows
+    # as a plan query at every marker, shared where they are equal.
+    workload = make()
+    compiled = compile_workload(workload, 1.4e9)
+    group_of = compiled.group_of.tolist()
+    rng = random.Random(f"lowering-{workload.name}")
+    for _ in range(20):
+        table = optimizer_tables(workload, compiled, rng)
+        plan = OptimalPlanStrategy(group_of, workload.phases,
+                                   table).gear_plan(workload)
+        forget(compiled, plan)
+        lowered = _lower_gear_actions(compiled, plan, PENTIUM_M_TABLE)
+        assert [list(row) for row in lowered] == reference_lowering(
+            compiled, plan, PENTIUM_M_TABLE)
+        for a in range(len(lowered)):
+            for b in range(a):
+                assert (lowered[a] is lowered[b]) == (lowered[a] == lowered[b])
+
+    # An unknown MHz in the last phase fails at its first marker, as
+    # the marker walk does.
+    table = optimizer_tables(workload, compiled, rng)
+    table[-1][-1] = 1234.5  # the row now varies: every phase issues a call
+    plan = OptimalPlanStrategy(group_of, workload.phases,
+                               table).gear_plan(workload)
+    with pytest.raises(CompileError) as expected:
+        reference_lowering(compiled, plan, PENTIUM_M_TABLE)
+    forget(compiled, plan)
+    with pytest.raises(CompileError) as got:
+        _lower_gear_actions(compiled, plan, PENTIUM_M_TABLE)
+    assert str(got.value) == str(expected.value)

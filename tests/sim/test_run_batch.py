@@ -272,3 +272,113 @@ def test_mixed_plan_batch_matches_scalar_lanes(case) -> None:
     batch = run_batch(make(), points)
     for (strategy, seed), measured in zip(points, batch):
         assert measured == run_straightline(make(), strategy, seed=seed)
+
+
+# ----------------------------------------------------------------------
+# deadline_s: plans that end past it come back as None, unintegrated
+# ----------------------------------------------------------------------
+def _bits(m) -> dict:
+    """Every measured field of ``m``, floats as ``float.hex``."""
+    return {
+        "workload": m.workload,
+        "strategy": m.strategy,
+        "elapsed_s": m.elapsed_s.hex(),
+        "energy_j": m.energy_j.hex(),
+        "per_node_energy_j": {
+            nid: e.hex() for nid, e in m.per_node_energy_j.items()
+        },
+        "dvs_transitions": m.dvs_transitions,
+        "time_at_mhz": {
+            mhz.hex(): s.hex() for mhz, s in m.time_at_mhz.items()
+        },
+        "acpi_energy_j": m.acpi_energy_j,
+        "baytech_energy_j": m.baytech_energy_j,
+        "trace": m.trace,
+        "extras": m.extras,
+    }
+
+
+def _deadline_points() -> list:
+    """FT.T.4 at every gear, the slow ones repeated under new seeds."""
+    return [
+        (ExternalStrategy(mhz=mhz), seed)
+        for seed in (0, 1)
+        for mhz in (600.0, 800.0, 1000.0, 1200.0, 1400.0)
+    ]
+
+
+def test_deadline_drops_late_plans_and_their_duplicates() -> None:
+    points = _deadline_points()
+    full_stats: dict = {}
+    full = run_batch(FT(klass="T", nprocs=4), points, stats=full_stats)
+    deadline = full[2].elapsed_s  # the 1000 MHz run: 600/800 end later
+    stats: dict = {}
+    cut = run_batch(FT(klass="T", nprocs=4), points, stats=stats,
+                    deadline_s=deadline)
+    late = [m.elapsed_s > deadline for m in full]
+    assert late == [True, True, False, False, False] * 2
+    for was_late, f, c in zip(late, full, cut):
+        if was_late:
+            assert c is None
+        else:
+            assert _bits(c) == _bits(f)
+    assert stats == full_stats
+
+
+def test_deadline_never_cuts_a_declined_point(monkeypatch) -> None:
+    # The event engine measures a declined point in full, wherever it
+    # ends: a plan-less daemon point in an ordinary call, and every
+    # point of a call whose workload does not compile.
+    import repro.sim.straightline as sl
+    from repro.workloads.compile import CompileError
+
+    points = [(ExternalStrategy(mhz=600.0), 0), (CpuspeedDaemonStrategy(), 1)]
+    full_stats: dict = {}
+    full = run_batch(FT(klass="T", nprocs=4), points, stats=full_stats)
+    stats: dict = {}
+    cut = run_batch(FT(klass="T", nprocs=4), points, stats=stats,
+                    deadline_s=0.0)
+    assert cut[0] is None
+    assert _bits(cut[1]) == _bits(full[1])
+    assert stats == full_stats == {
+        "quotient_points": 1, "event_points": 1,
+        "fallback_reasons": {"no_plan": 1},
+    }
+
+    def refuse(workload, hz):
+        raise CompileError("declined for the test")
+
+    monkeypatch.setattr(sl, "compile_workload", refuse)
+    points = _deadline_points()[:3]
+    full_stats = {}
+    full = run_batch(FT(klass="T", nprocs=4), points, stats=full_stats)
+    stats = {}
+    cut = run_batch(FT(klass="T", nprocs=4), points, stats=stats,
+                    deadline_s=0.0)
+    assert [_bits(m) for m in cut] == [_bits(m) for m in full]
+    assert stats == full_stats == {
+        "event_points": 3, "fallback_reasons": {"compile_error": 3},
+    }
+
+
+def test_deadline_skips_finalize_only_for_late_plans(monkeypatch) -> None:
+    # A late plan still runs its interpreter (the verdict needs its
+    # elapsed time) but never integrates energy.
+    import repro.sim.straightline as sl
+
+    finalized: list = []
+    real_finalize = sl._Executor.finalize
+
+    def finalize(self, t_end):
+        finalized.append(t_end)
+        return real_finalize(self, t_end)
+
+    monkeypatch.setattr(sl._Executor, "finalize", finalize)
+    built = spy_executors(monkeypatch)
+    points = _deadline_points()
+    deadline = run_batch(FT(klass="T", nprocs=4), points[2:3])[0].elapsed_s
+    built.clear()
+    finalized.clear()
+    run_batch(FT(klass="T", nprocs=4), points, deadline_s=deadline)
+    assert len(built) == 5  # one interpreter per distinct plan
+    assert len(finalized) == 3 and max(finalized) <= deadline

@@ -9,6 +9,8 @@ extended to in-run ``set_cpuspeed`` calls (paper Figures 11 and 14).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.framework import Measurement, run_workload
@@ -19,7 +21,10 @@ from repro.core.strategies.internal import (
     PhasePolicy,
     RankPolicy,
 )
-from repro.sim.straightline import run_straightline
+from repro.hardware.opoints import PENTIUM_M_TABLE
+from repro.optimize.plan import OptimalPlanStrategy
+from repro.sim.straightline import _lower_gear_actions, run_straightline
+from repro.workloads.compile import compile_workload
 from repro.workloads.npb.cg import CG
 from repro.workloads.npb.ft import FT
 
@@ -156,3 +161,87 @@ def test_is_static_delegates_to_gear_plan() -> None:
     # An INTERNAL strategy needs the workload to lower, so without one
     # it is not *statically* known — is_static() stays conservative.
     assert not InternalStrategy(PhasePolicy({"alltoall"})).is_static()
+
+
+# ----------------------------------------------------------------------
+# DVS call overhead: a no-op call keeps its TOUCH breakpoint, a gear
+# change's TOUCH (same instant as its GEAR) is never emitted
+# ----------------------------------------------------------------------
+class FreeCallsFT(FT):
+    """FT whose ``set_cpuspeed`` calls stall for no overhead."""
+
+    def cost_model(self):
+        return dataclasses.replace(super().cost_model(),
+                                   dvs_call_overhead_s=0.0)
+
+
+def optimal_plan(workload, rows) -> OptimalPlanStrategy:
+    """``rows[g]`` for every rank group of ``workload``'s compile."""
+    compiled = compile_workload(workload, PENTIUM_M_TABLE.fastest.frequency_hz)
+    group_of = compiled.group_of.tolist()
+    return OptimalPlanStrategy(group_of, workload.phases,
+                               [rows[g % len(rows)]
+                                for g in range(compiled.n_groups)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FT(klass="T", nprocs=4),
+    lambda: FreeCallsFT(klass="T", nprocs=4),
+], ids=["default-overhead", "no-overhead"])
+def test_repeated_gear_row_matches_event_engine(make) -> None:
+    # FT's phases are setup, evolve, alltoall, checksum.  Repeating
+    # 1000 MHz over evolve and alltoall makes the alltoall call (and
+    # every later evolve call) a no-op, next to gear-changing calls.
+    row = (600.0, 1000.0, 1000.0, 600.0)
+    fast, ref = run_both(make, lambda: optimal_plan(make(), [row]))
+    assert_identical(fast, ref)
+    workload = make()
+    compiled = compile_workload(workload, PENTIUM_M_TABLE.fastest.frequency_hz)
+    plan = optimal_plan(workload, [row]).gear_plan(workload)
+    calls = sum(map(len, _lower_gear_actions(compiled, plan, PENTIUM_M_TABLE)))
+    assert 0 < fast.dvs_transitions < calls  # both kinds of call ran
+
+
+def test_gear_change_sheds_exactly_its_touch(monkeypatch) -> None:
+    # Against the TOUCH-per-call emission: the same measurement, and a
+    # CG.T.8 plan's breakpoint lists shrink by one event per
+    # gear-changing call.
+    import repro.sim.straightline as sl
+
+    assert CG(klass="T", nprocs=8).cost_model().dvs_call_overhead_s != 0.0
+    counts: list = []
+    real_finalize = sl._Executor.finalize
+
+    def finalize(self, t_end):
+        counts.append({
+            "events": sum(len(nd.events) for nd in self.nodes),
+            "touches": sum(ev[2] == sl._EV_TOUCH
+                           for nd in self.nodes for ev in nd.events),
+            "calls": sum(len(r.acts) for r in self.ranks),
+            "changes": sum(nd.gears for nd in self.nodes),
+        })
+        return real_finalize(self, t_end)
+
+    monkeypatch.setattr(sl._Executor, "finalize", finalize)
+    rows = [(600.0, 1000.0, 1400.0), (1400.0, 800.0, 1200.0)]
+    trimmed = run_straightline(CG(klass="T", nprocs=8),
+                               optimal_plan(CG(klass="T", nprocs=8), rows))
+
+    real_apply = sl._Executor._apply_gear
+
+    def apply_with_touch(self, r, target):
+        # The TOUCH every call emitted before its GEAR at the same t.
+        if target != r.node.index and r.node.cpu_free <= r.t:
+            self._emit(r.node, r.t, sl._EV_TOUCH, None)
+        real_apply(self, r, target)
+
+    monkeypatch.setattr(sl._Executor, "_apply_gear", apply_with_touch)
+    full = run_straightline(CG(klass="T", nprocs=8),
+                            optimal_plan(CG(klass="T", nprocs=8), rows))
+    assert_identical(trimmed, full)
+    now, before = counts
+    assert now["calls"] == before["calls"] > now["changes"] > 0
+    assert now["changes"] == before["changes"]
+    assert before["touches"] == before["calls"]
+    assert now["touches"] == now["calls"] - now["changes"]
+    assert before["events"] - now["events"] == now["changes"]
