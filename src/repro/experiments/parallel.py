@@ -336,7 +336,7 @@ class ParallelRunner:
         Cache/memo hits are filled in first; the remaining misses are
         measured by :func:`_execute_chunk` (gear-plan misses batched
         through ``run_batch``, every other miss by itself) and stored
-        back per point, so a re-run hits per point.
+        back as one cache pack, so a re-run hits per point.
         """
         tasks = self._merge_faults(tasks)
         results, pending, duplicates = self._probe(tasks)
@@ -410,6 +410,8 @@ class ParallelRunner:
         #: (result index, position in ``pending``) for duplicate tasks
         #: within this batch — executed once, filled in everywhere.
         duplicates: list[tuple[int, int]] = []
+        if self.cache is not None:
+            self.cache.refresh()  # see packs other runners wrote since
         for index, task in enumerate(tasks):
             key: Optional[str] = None
             if (self._memo is not None or self.cache is not None) and task.cacheable():
@@ -456,15 +458,21 @@ class ParallelRunner:
         duplicates: Sequence[tuple[int, int]],
         measured: Sequence[Measurement],
     ) -> None:
-        """Place fresh measurements into ``results`` and the caches."""
+        """Place fresh measurements into ``results`` and the caches.
+
+        Every measurement to cache goes into one pack: one disk write
+        per ``map`` call.
+        """
+        fresh: list[tuple[str, Measurement]] = []
         for (index, _, key), measurement in zip(pending, measured):
             results[index] = measurement
             if key is not None:
                 if self._memo is not None:
                     self._memo[key] = measurement
-                if self.cache is not None:
-                    self.cache.put(key, measurement)
-                    self.stats.stores += 1
+                fresh.append((key, measurement))
+        if self.cache is not None and fresh:
+            self.cache.put(fresh)
+            self.stats.stores += len(fresh)
         for index, position in duplicates:
             results[index] = measured[position]
 

@@ -9,26 +9,32 @@ The second half of this module is the content-addressed
 :class:`MeasurementCache`: every simulated sweep point is keyed by a
 stable hash of (workload spec, strategy config, seed, cluster/run
 parameters, model version), so a campaign never re-simulates a point
-another figure already produced.  A traced point's entry also carries
+another figure already produced.  A traced point's record also carries
 its :class:`~repro.trace.events.TraceLog` as
 :func:`~repro.trace.slog.trace_to_csv` text, so a warm campaign
-replays the performance-trace figures from disk too.  See
-``docs/performance.md`` for the key schema and the invalidation rules.
+replays the performance-trace figures from disk too.  Records are
+written one **pack** (a JSONL file) per ``ParallelRunner.map`` call and
+found through an in-memory index of pack positions; caches in the
+older one-file-per-point layout stay readable.  See
+``docs/performance.md`` for the key schema, the pack layout and the
+invalidation rules.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import inspect
 import json
 import os
+import time
 from collections.abc import Mapping as AbcMapping
 from collections.abc import Sequence as AbcSequence
 from collections.abc import Set as AbcSet
 from math import copysign
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, BinaryIO, Iterator, Mapping, Optional, Union
 
 from typing import TYPE_CHECKING
 
@@ -365,7 +371,7 @@ class CacheStats:
     #: were degraded by injected faults (``extras["faults"]`` present).
     runs: int = 0
     degraded_runs: int = 0
-    #: corrupt/truncated on-disk entries unlinked during ``get`` (each
+    #: corrupt/truncated on-disk records evicted during ``get`` (each
     #: also counts as a miss — the point re-simulates and re-stores).
     #: A runner counts the evictions its own lookups caused.
     evicted_corrupt: int = 0
@@ -445,89 +451,349 @@ class CacheStats:
         return base
 
 
+#: A pack's file name ends with this; see :class:`MeasurementCache`.
+PACK_SUFFIX = ".jsonl"
+
+#: Every record starts ``{"key": "<key>", "measurement": `` —
+#: ``json.dumps`` keeps the payload's insertion order.
+_HEAD = b'{"key": "'
+_AFTER_KEY = b'", "measurement": '
+
+
+def _record_key(data: bytes, start: int, end: int) -> Optional[str]:
+    """The key of the record on line ``data[start:end]``, or None when
+    the line does not start like a record."""
+    if not data.startswith(_HEAD, start, end):
+        return None
+    quote = data.find(b'"', start + len(_HEAD), end)
+    if quote < 0 or not data.startswith(_AFTER_KEY, quote, end):
+        return None
+    return data[start + len(_HEAD) : quote].decode("ascii", "replace")
+
+
+def _index_pack(
+    index: dict[str, tuple[str, int, int]], name: str, data: bytes
+) -> list[tuple[int, int]]:
+    """Point ``index`` at the records of pack ``name`` (its bytes
+    ``data``) that are the latest for their key.
+
+    A record wins over one in the same pack or an earlier one (pack
+    names sort in write order).  Returns the ``(start, end)`` spans of
+    the lines that do not start like a record (an empty pack is one).
+    """
+    if not data:  # put never writes an empty pack: this one was cut
+        return [(0, 0)]
+    bad: list[tuple[int, int]] = []
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0:  # the last line of a pack cut mid-record
+            end = len(data)
+        key = _record_key(data, start, end)
+        if key is None:
+            bad.append((start, end))
+        else:
+            slot = index.get(key)
+            if slot is None or slot[0] <= name:
+                index[key] = (name, start, end - start)
+        start = end + 1
+    return bad
+
+
+def _text(data: bytes) -> str:
+    """A record's bytes as text; undecodable bytes give ``""``, which
+    no record is.  Callers decode where they read, so the bytes are
+    freed before the JSON decode instead of adding a third copy of a
+    traced record (~0.7 MB) to its peak."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        return ""
+
+
+def _decode(text: str) -> Optional[Measurement]:
+    """The measurement of one record, or None when it is corrupt."""
+    try:
+        return measurement_from_dict(json.loads(text)["measurement"])
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
 class MeasurementCache:
     """Content-addressed on-disk memoization of :class:`Measurement`.
 
-    One JSON file per sweep point, named by its :func:`cache_key`, in
-    fan-out directories by the first key byte (``ab/<key>.json``).
-    An entry holds the measurement's summary fields and, for a traced
-    run, its trace as a ``trace`` field of
+    Each record is one line of JSON, ``{"key": <cache_key>,
+    "measurement": {...}}``.  The measurement holds the summary fields
+    and, for a traced run, its trace as a ``trace`` field of
     :func:`~repro.trace.slog.trace_to_csv` text (exact through
     ``repr``, in log order; about 0.73 MB for CG.C.8).  Energy reports
     are never stored.  A cached hit is bit-for-bit identical to a
     fresh uncached run for every summary field and, traced, for every
     trace event in log order.
 
-    A corrupt or truncated entry (a writer killed mid-``replace`` on a
-    non-atomic filesystem, a bad disk block) is *unlinked* on first
-    contact and counted in ``stats.evicted_corrupt``, so the slot
-    re-simulates and re-stores once instead of re-failing every run.
-    The cache keeps no in-process copies: a runner's ``memo`` answers
+    :meth:`put` writes every record it is given as one **pack**
+    directly under the root: an append-only JSONL file named
+    ``<write time in ns, 20 digits>-<pid>.jsonl``, written to a temp
+    file and renamed into place.  ``ParallelRunner.map`` calls it once
+    per call, with every measurement the call produced.  Names sort
+    in write order, and a later record of a key wins, so a fresh
+    reader sees what the last writer stored.
+
+    :meth:`get` looks keys up in an in-memory index of key → (pack,
+    offset, length), built on the first lookup; it holds positions,
+    never record text.  After :meth:`refresh` (once per ``map`` call),
+    the next lookup lists the root once and indexes the packs written
+    since, by this process or another.  Records in the per-file layout
+    of earlier versions, ``ab/<key>.json`` by the first key byte, are
+    still read when a pack has no record of the key; a root without
+    such fan-out directories pays no per-key ``stat`` for them.
+
+    A corrupt record (a writer killed mid-``replace`` on a
+    non-atomic filesystem, a bad disk block) is evicted on first
+    contact and counted in ``stats.evicted_corrupt``: it is cut out of
+    its pack, whose other records still hit, and a pack with no live
+    record left is unlinked, as is a corrupt per-file entry.  The slot
+    then re-simulates and re-stores once instead of re-failing every
+    run.  A line that does not even start like a record (so no key
+    names it) is evicted the same way when its pack is indexed.  The
+    cache keeps no in-process copies: a runner's ``memo`` answers
     repeated keys before :meth:`get` is reached.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
+        #: key -> (pack name, offset, length) of its latest record
+        self._index: dict[str, tuple[str, int, int]] = {}
+        #: names of the packs already indexed
+        self._packs: set[str] = set()
+        self._listed = False
+        #: whether the last listing saw per-file fan-out directories
+        self._fan_out = False
+        self._last_ns = 0
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    # -- lookup --------------------------------------------------------
+    def refresh(self) -> None:
+        """Let the next :meth:`get` pick up packs written since the last
+        listing of the root."""
+        self._listed = False
 
     def get(self, key: str) -> Optional[Measurement]:
         """The cached measurement for ``key``, or None (counted)."""
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            measurement = measurement_from_dict(
-                json.loads(text)["measurement"]
-            )
-        except (ValueError, KeyError, TypeError):
-            # Corrupt/truncated entry: evict it so the slot heals with
-            # the next store instead of re-failing on every lookup.
+        if not self._listed:
+            self._list()
+        slot = self._index.get(key)
+        if slot is not None:
+            text = self._read(key, slot)
+            if text is None:
+                # The pack changed since it was indexed: another process
+                # cut a corrupt record out of it, or cleared the cache.
+                self._reindex(slot[0], self._read_pack(slot[0]))
+                slot = self._index.get(key)
+                text = None if slot is None else self._read(key, slot)
+            if text is not None:
+                measurement = _decode(text)
+                if measurement is None:
+                    del self._index[key]
+                    name, start, length = slot
+                    self._drop(name, self._read_pack(name),
+                               [(start, start + length)])
+                    return self._evicted()
+                self.stats.hits += 1
+                return measurement
+        if self._fan_out:
+            path = self._file(key)
             try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
+                text = _text(path.read_bytes())
+            except OSError:
                 pass
-            self.stats.evicted_corrupt += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return measurement
+            else:
+                measurement = _decode(text)
+                if measurement is None:
+                    path.unlink(missing_ok=True)
+                    return self._evicted()
+                self.stats.hits += 1
+                return measurement
+        self.stats.misses += 1
+        return None
 
-    def put(self, key: str, measurement: Measurement) -> Path:
-        """Store ``measurement`` under ``key`` (summary fields + trace)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = _summary_payload(
-            measurement,
-            "per_node_energy_runs",
-            _energy_runs(measurement.per_node_energy_j),
-        )
-        if measurement.trace is not None:
-            entry["trace"] = trace_to_csv(measurement.trace)
-        payload = {"key": key, "measurement": entry}
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)  # atomic vs concurrent writers of the same key
-        self.stats.stores += 1
+    def _evicted(self) -> None:
+        self.stats.evicted_corrupt += 1
+        self.stats.misses += 1
+        return None
+
+    def _file(self, key: str) -> Path:
+        """Where the per-file layout keeps ``key``."""
+        return self.root / key[:2] / f"{key}.json"
+
+    def _list(self) -> None:
+        """List the root once: index every pack not indexed yet, in
+        write order, and note whether fan-out directories exist."""
+        self._listed = True
+        self._fan_out = False
+        new = []
+        try:
+            with os.scandir(self.root) as listing:
+                for entry in listing:
+                    if entry.name.endswith(PACK_SUFFIX):
+                        if entry.name not in self._packs:
+                            new.append(entry.name)
+                    elif len(entry.name) == 2 and entry.is_dir():
+                        self._fan_out = True
+        except OSError:  # no root yet: nothing stored
+            return
+        for name in sorted(new):
+            self._packs.add(name)
+            try:
+                data = (self.root / name).read_bytes()
+            except OSError:  # cleared by another process since
+                continue
+            bad = _index_pack(self._index, name, data)
+            if bad:
+                self.stats.evicted_corrupt += len(bad)
+                self._drop(name, data, bad)
+
+    def _read_pack(self, name: str) -> bytes:
+        try:
+            return (self.root / name).read_bytes()
+        except OSError:  # cleared by another process
+            return b""
+
+    def _read(self, key: str, slot: tuple[str, int, int]) -> Optional[str]:
+        """The record at ``slot``, or None unless it is still ``key``'s."""
+        name, start, length = slot
+        try:
+            with open(self.root / name, "rb") as pack:
+                pack.seek(start)
+                data = pack.read(length)
+        except OSError:
+            return None
+        head = _HEAD + key.encode() + _AFTER_KEY
+        if len(data) != length or not data.startswith(head):
+            return None
+        return _text(data)
+
+    def _reindex(self, name: str, data: bytes) -> None:
+        """Re-point the index at pack ``name`` as it now is (``data``)."""
+        for key in [k for k, slot in self._index.items() if slot[0] == name]:
+            del self._index[key]
+        _index_pack(self._index, name, data)
+
+    def _drop(self, name: str, data: bytes, spans: list[tuple[int, int]]) -> None:
+        """Cut the lines at ``spans`` out of pack ``name`` (its bytes
+        ``data``), or unlink the pack when none of its records is live."""
+        path = self.root / name
+        if data and any(slot[0] == name for slot in self._index.values()):
+            kept = bytearray()
+            start = 0
+            for begin, end in spans:
+                kept += data[start:begin]
+                start = end + 1
+            kept += data[start:]
+            data = bytes(kept)
+            with _replacing(path) as pack:
+                pack.write(data)
+        else:
+            path.unlink(missing_ok=True)
+            data = b""
+        self._reindex(name, data)
+
+    # -- storing -------------------------------------------------------
+    def put(self, items: AbcSequence[tuple[str, Measurement]]) -> Path:
+        """Store every ``(key, measurement)`` of ``items`` (summary
+        fields + trace) as one new pack; returns the pack's path."""
+        if not items:
+            raise ValueError("put() needs at least one measurement")
+        ns = self._last_ns = max(time.time_ns(), self._last_ns + 1)
+        name = f"{ns:020d}-{os.getpid()}{PACK_SUFFIX}"
+        path = self.root / name
+        self.root.mkdir(parents=True, exist_ok=True)
+        slots = []
+        start = 0
+        with _replacing(path) as pack:
+            # One record encoded at a time: a traced one is ~0.7 MB.
+            for key, measurement in items:
+                record = _record(key, measurement)
+                pack.write(record)
+                pack.write(b"\n")
+                slots.append((key, start, len(record)))
+                start += len(record) + 1
+        self._packs.add(name)
+        for key, start, length in slots:
+            slot = self._index.get(key)
+            if slot is None or slot[0] <= name:
+                self._index[key] = (name, start, length)
+        self.stats.stores += len(items)
         return path
 
-    def entries(self) -> Iterator[Path]:
-        """Every on-disk entry."""
-        if self.root.exists():
-            yield from self.root.glob("*/*.json")
+    # -- inventory -----------------------------------------------------
+    def packs(self) -> list[Path]:
+        """Every pack under the root, in write order."""
+        return sorted(self.root.glob(f"*{PACK_SUFFIX}"))
+
+    def records(self) -> dict[str, bytes]:
+        """Every stored measurement's record text by key, as a fresh
+        reader would serve it: a key's latest pack record, else its
+        per-file entry."""
+        index: dict[str, tuple[str, int, int]] = {}
+        data = {}
+        for path in self.packs():
+            data[path.name] = path.read_bytes()
+            _index_pack(index, path.name, data[path.name])
+        out = {
+            key: data[name][start : start + length]
+            for key, (name, start, length) in index.items()
+        }
+        for path in self.root.glob("??/*.json"):
+            out.setdefault(path.stem, path.read_bytes())
+        return out
 
     def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        for path in self.entries():
+        """Delete every pack and per-file entry; returns how many
+        measurements they held."""
+        removed = len(self)
+        for path in self.packs():
             path.unlink(missing_ok=True)
-            removed += 1
+        for path in self.root.glob("??/*.json"):
+            path.unlink(missing_ok=True)
+        for path in self.root.glob("??/"):
+            with contextlib.suppress(OSError):  # not empty: not ours
+                path.rmdir()
+        self._index.clear()
+        self._packs.clear()
+        self._listed = False
         return removed
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        """How many measurements are stored (distinct keys)."""
+        return len(self.records())
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """A file to write ``path``'s new content into; it replaces
+    ``path`` in one rename when the block ends without an error, so
+    readers see the whole file or none of it."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as file:
+            yield file
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
+
+
+def _record(key: str, measurement: Measurement) -> bytes:
+    """The one-line JSON record of ``measurement`` under ``key``.
+
+    Its bytes are those of a per-file ``ab/<key>.json`` entry.
+    """
+    entry = _summary_payload(
+        measurement,
+        "per_node_energy_runs",
+        _energy_runs(measurement.per_node_energy_j),
+    )
+    if measurement.trace is not None:
+        entry["trace"] = trace_to_csv(measurement.trace)
+    return json.dumps({"key": key, "measurement": entry}).encode()

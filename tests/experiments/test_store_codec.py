@@ -44,7 +44,7 @@ def _measurement(per_node, time_at_mhz=None, extras=None) -> Measurement:
 
 
 def _round_trip(tmp_path, measurement: Measurement) -> Measurement:
-    MeasurementCache(tmp_path).put(KEY, measurement)
+    MeasurementCache(tmp_path).put([(KEY, measurement)])
     fresh = MeasurementCache(tmp_path)  # a disk read, not the hot layer
     got = fresh.get(KEY)
     assert got is not None
@@ -53,8 +53,8 @@ def _round_trip(tmp_path, measurement: Measurement) -> Measurement:
 
 
 def _entry(tmp_path) -> dict:
-    (path,) = MeasurementCache(tmp_path).entries()
-    return json.loads(path.read_text())["measurement"]
+    (text,) = MeasurementCache(tmp_path).records().values()
+    return json.loads(text)["measurement"]
 
 
 def _assert_same_energies(got: dict, want: dict) -> None:

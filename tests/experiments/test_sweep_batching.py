@@ -256,7 +256,7 @@ def test_event_engine_cache_entry_replays_into_sweep(tmp_path) -> None:
     event = run_workload(ft, strategy, seed=0, engine="event")
     key = cache_key(ft, strategy, 0, {})
     cache = MeasurementCache(tmp_path)
-    cache.put(key, event)
+    cache.put([(key, event)])
 
     runner = ParallelRunner(jobs=1, cache_dir=tmp_path, memo=False)
     [hit] = runner.map([RunTask(ft, strategy, 0)])

@@ -83,8 +83,8 @@ def test_traced_and_untraced_points_keep_separate_entries(tmp_path):
         traced = runner.run(w, trace=True)
     assert plain.trace is None and traced.trace is not None
     entries = [
-        json.loads(p.read_text())["measurement"]
-        for p in MeasurementCache(tmp_path).entries()
+        json.loads(text)["measurement"]
+        for text in MeasurementCache(tmp_path).records().values()
     ]
     assert sorted("trace" in e for e in entries) == [False, True]
 
