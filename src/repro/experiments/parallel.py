@@ -401,9 +401,19 @@ class ParallelRunner:
         list[tuple[int, RunTask, Optional[str]]],
         list[tuple[int, int]],
     ]:
-        """Fill cache/memo hits; return (results, pending misses, dupes)."""
+        """Fill cache/memo hits; return (results, pending misses, dupes).
+
+        Every cacheable task is keyed by one ``cache_key`` call (looked
+        up when ``_probe`` runs) that shares this call's ``spec_memo``,
+        so each distinct workload, strategy and keyword value object is
+        canonicalised once per ``map``.  The memo dies with the call:
+        the objects it names may change before the next ``map``.
+        """
         from repro.experiments.store import UncacheableSpecError, cache_key
 
+        spec_memo: dict = {}
+        # A None strategy runs as no-DVS; share its cache slot.
+        no_dvs = NoDvsStrategy()
         results: list[Optional[Measurement]] = [None] * len(tasks)
         pending: list[tuple[int, RunTask, Optional[str]]] = []
         pending_by_key: dict[str, int] = {}
@@ -416,12 +426,12 @@ class ParallelRunner:
             key: Optional[str] = None
             if (self._memo is not None or self.cache is not None) and task.cacheable():
                 try:
-                    # A None strategy runs as no-DVS; share its cache slot.
                     key = cache_key(
                         task.workload,
-                        task.strategy if task.strategy is not None else NoDvsStrategy(),
+                        task.strategy if task.strategy is not None else no_dvs,
                         task.seed,
                         task.kwargs,
+                        spec_memo,
                     )
                 except UncacheableSpecError:
                     pending.append((index, task, None))

@@ -102,6 +102,11 @@ def measurement_to_dict(m: Measurement) -> dict[str, Any]:
     )
 
 
+#: Below this magnitude a float node id ``+ 1`` is exact, so a float
+#: id equal to ``first + i`` continues a run just as the int would.
+_EXACT = 2**53
+
+
 def _energy_runs(per_node: Mapping[int, float]) -> list[list]:
     """``per_node`` as ``[first_node, count, joules]`` runs.
 
@@ -109,6 +114,24 @@ def _energy_runs(per_node: Mapping[int, float]) -> list[list]:
     bit-equal, in the dict's iteration order (so decoding restores
     it).  ``-0.0`` never joins a ``0.0`` run and NaN never extends one.
     """
+    if per_node:
+        # The SPMD case, one run, without a per-node loop: every value
+        # equal to a non-zero, non-NaN float first one (``list.count``
+        # matches by identity or ``==``, as the loop's test does for
+        # such a value), over ascending int ids whose ``+ 1`` is exact.
+        first, value = next(iter(per_node.items()))
+        n = len(per_node)
+        if (
+            type(value) is float
+            and value
+            and value == value
+            and type(first) is int
+            and -_EXACT < first
+            and first + n < _EXACT
+            and list(per_node.values()).count(value) == n
+            and list(per_node) == list(range(first, first + n))
+        ):
+            return [[first, n, value]]
     runs: list[list] = []
     run: Optional[list] = None
     next_node = value = None
@@ -156,7 +179,11 @@ def _energies_from_runs(runs: Any) -> dict[int, float]:
             raise TypeError("run node ids and counts must be ints")
         if count < 1:
             raise ValueError(f"run count must be >= 1, got {count}")
-        out.update(dict.fromkeys(range(first, first + count), _number(joules)))
+        block = dict.fromkeys(range(first, first + count), _number(joules))
+        if out:
+            out.update(block)
+        else:  # the first run's dict is the result: no copy
+            out = block
         total += count
     if len(out) != total:
         raise ValueError("a node id is repeated across runs")
@@ -318,11 +345,52 @@ def canonical_spec(obj: Any) -> Any:
     return repr(obj)
 
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, without
+#: building an encoder per call.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _spec_json(obj: Any, memo: dict[int, tuple[Any, str]]) -> str:
+    """``_json(canonical_spec(obj))``, computed once per object in ``memo``.
+
+    ``memo`` maps ``id(obj)`` to ``(obj, text)``: holding ``obj`` keeps
+    its id from being reused by another object while ``memo`` lives.
+    """
+    hit = memo.get(id(obj))
+    if hit is None:
+        hit = memo[id(obj)] = (obj, _json(canonical_spec(obj)))
+    return hit[1]
+
+
+def _kwargs_json(
+    run_kwargs: Optional[Mapping[str, Any]], memo: dict[int, tuple[Any, str]]
+) -> str:
+    """The key's canonical ``kwargs`` part (keyword name -> value) as
+    JSON text.
+
+    ``None``-valued keywords are dropped: every ``run_workload`` keyword
+    uses ``None`` to mean "the default".  ``engine`` selects an
+    execution tier, never an output: the straightline accumulator is
+    bit-identical to the event engine, so both tiers share one slot.
+    """
+    items = [
+        (k, v) for k, v in (run_kwargs or {}).items()
+        if v is not None and k != "engine"
+    ]
+    # ``canonical_spec`` sorts a mapping's ``[key, value]`` pairs by
+    # ``repr``; for distinct ``str`` keys (keywords) neither repr is a
+    # prefix of the other, so the key's repr alone decides the order.
+    items.sort(key=lambda item: repr(item[0]))
+    pairs = ",".join(f"[{_json(k)},{_spec_json(v, memo)}]" for k, v in items)
+    return f'["__map__",[{pairs}]]'
+
+
 def cache_key(
     workload: Any,
     strategy: Any,
     seed: int,
     run_kwargs: Optional[Mapping[str, Any]] = None,
+    memo: Optional[dict[int, tuple[Any, str]]] = None,
 ) -> str:
     """Content hash identifying one simulated sweep point.
 
@@ -330,28 +398,29 @@ def cache_key(
     configuration, the seed, every ``run_workload`` keyword that shapes
     the cluster (power model, operating points, network parameters,
     transition latency, ...) and :data:`MODEL_VERSION`.  ``None``-valued
-    keywords are dropped first: every ``run_workload`` keyword uses
-    ``None`` to mean "the default", so an explicit ``faults=None`` (or
+    keywords are dropped first: an explicit ``faults=None`` (or
     ``network_params=None``) must share the unspecified key's slot.
+
+    The hashed blob is ``json.dumps(spec, sort_keys=True,
+    separators=(",", ":"))`` of ``spec = {"kwargs", "model_version",
+    "seed", "strategy", "workload", "workload_tag"}``, joined here from
+    the JSON text of each part.  Callers keying many tasks pass one
+    ``memo`` dict for all of them (``ParallelRunner._probe`` does, per
+    ``map`` call), so each distinct workload, strategy and keyword
+    value object is canonicalised once.  ``memo`` identifies objects by
+    ``id``: it must not outlive the objects' configuration, so keep it
+    for one batch of keys only.
     """
-    spec = {
-        "model_version": MODEL_VERSION,
-        "workload": canonical_spec(workload),
-        "workload_tag": getattr(workload, "tag", None),
-        "strategy": canonical_spec(strategy),
-        "seed": seed,
-        "kwargs": canonical_spec(
-            # ``engine`` selects an execution tier, never an output: the
-            # straightline accumulator is bit-identical to the event
-            # engine, so both tiers share one cache slot.
-            {
-                k: v
-                for k, v in (run_kwargs or {}).items()
-                if v is not None and k != "engine"
-            }
-        ),
-    }
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    if memo is None:
+        memo = {}
+    blob = (
+        f'{{"kwargs":{_kwargs_json(run_kwargs, memo)},'
+        f'"model_version":{_json(MODEL_VERSION)},'
+        f'"seed":{_json(seed)},'
+        f'"strategy":{_spec_json(strategy, memo)},'
+        f'"workload":{_spec_json(workload, memo)},'
+        f'"workload_tag":{_json(getattr(workload, "tag", None))}}}'
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -588,16 +657,20 @@ class MeasurementCache:
             if text is None:
                 # The pack changed since it was indexed: another process
                 # cut a corrupt record out of it, or cleared the cache.
-                self._reindex(slot[0], self._read_pack(slot[0]))
-                slot = self._index.get(key)
-                text = None if slot is None else self._read(key, slot)
+                # A pack that cannot be read now keeps its slots.
+                data = self._read_pack(slot[0])
+                if data is not None:
+                    self._reindex(slot[0], data)
+                    slot = self._index.get(key)
+                    text = None if slot is None else self._read(key, slot)
             if text is not None:
                 measurement = _decode(text)
                 if measurement is None:
                     del self._index[key]
                     name, start, length = slot
-                    self._drop(name, self._read_pack(name),
-                               [(start, start + length)])
+                    data = self._read_pack(name)
+                    if data is not None:
+                        self._drop(name, data, [(start, start + length)])
                     return self._evicted()
                 self.stats.hits += 1
                 return measurement
@@ -643,21 +716,37 @@ class MeasurementCache:
         except OSError:  # no root yet: nothing stored
             return
         for name in sorted(new):
-            self._packs.add(name)
             try:
                 data = (self.root / name).read_bytes()
-            except OSError:  # cleared by another process since
+            except OSError:
+                # Gone since, or unreadable now: a later listing retries
+                # it, and a pack not indexed is never unlinked as dead.
                 continue
+            self._packs.add(name)
             bad = _index_pack(self._index, name, data)
             if bad:
                 self.stats.evicted_corrupt += len(bad)
                 self._drop(name, data, bad)
+        if new:
+            # A pack read and indexed whose every record a later one
+            # superseded is dead bytes to every fresh reader: unlink
+            # it, as ``_drop`` does.
+            live = {slot[0] for slot in self._index.values()}
+            for name in self._packs - live:
+                with contextlib.suppress(OSError):
+                    (self.root / name).unlink()
+            self._packs &= live
 
-    def _read_pack(self, name: str) -> bytes:
+    def _read_pack(self, name: str) -> Optional[bytes]:
+        """Pack ``name``'s bytes: ``b""`` when it is gone (another
+        process cleared the cache), None when it cannot be read now
+        (permissions, file handles, I/O), so the caller leaves it be."""
         try:
             return (self.root / name).read_bytes()
-        except OSError:  # cleared by another process
+        except FileNotFoundError:
             return b""
+        except OSError:
+            return None
 
     def _read(self, key: str, slot: tuple[str, int, int]) -> Optional[str]:
         """The record at ``slot``, or None unless it is still ``key``'s."""

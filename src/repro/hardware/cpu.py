@@ -182,10 +182,6 @@ class CpuCore:
         return self.opoint.frequency_mhz
 
     @property
-    def is_busy(self) -> bool:
-        return self._active is not None
-
-    @property
     def busy_level(self) -> float:
         """Current /proc-style busy fraction contribution (0..1)."""
         if self._active is not None:

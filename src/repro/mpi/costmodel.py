@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from repro.hardware.network import NetworkParameters
 
@@ -170,7 +169,3 @@ class CostModel:
     def alltoall_bytes(nprocs: int, bytes_per_pair: float) -> float:
         """Per-rank wire bytes of an alltoall with ``bytes_per_pair``."""
         return (nprocs - 1) * bytes_per_pair
-
-    @staticmethod
-    def max_total(values: Sequence[float]) -> float:
-        return max(values) if values else 0.0

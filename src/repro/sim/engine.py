@@ -69,10 +69,6 @@ class Environment:
         """Current simulation time (seconds by convention)."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # ------------------------------------------------------------------
     # factories
     # ------------------------------------------------------------------
@@ -89,16 +85,6 @@ class Environment:
     ) -> Process:
         """Start running ``generator`` as a process."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> Event:
-        from repro.sim.events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events) -> Event:
-        from repro.sim.events import AnyOf
-
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # scheduling

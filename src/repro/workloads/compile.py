@@ -497,10 +497,6 @@ class CompiledProgram:
         return len(self.req_kind)
 
     @property
-    def n_collectives(self) -> int:
-        return len(self.coll_kinds)
-
-    @property
     def n_groups(self) -> int:
         return len(self.group_members) if self.group_members else self.nprocs
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.framework import Measurement
+from repro.experiments import store
 from repro.experiments.cli import main
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.store import PACK_SUFFIX, CacheStats, MeasurementCache
@@ -215,8 +216,69 @@ def test_later_put_of_a_key_wins(tmp_path) -> None:
     cache.put([(KEY, _measurement("CG.T.4"))])
     cache.put([(KEY, _measurement("EP.T.4"))])
     assert cache.get(KEY).workload == "EP.T.4"
-    assert MeasurementCache(tmp_path).get(KEY).workload == "EP.T.4"
+    assert len(cache.packs()) == 2  # no new pack listed: none unlinked
+    fresh = MeasurementCache(tmp_path)
+    assert fresh.get(KEY).workload == "EP.T.4"
+    # The fresh reader indexed both packs; the first holds no live
+    # record any more, so it is gone.
+    (pack,) = cache.packs()
+    assert pack.read_bytes().count(b"EP.T.4") == 1
     assert len(MeasurementCache(tmp_path)) == 1
+    assert cache.get(KEY).workload == "EP.T.4"
+
+
+def _unreadable(monkeypatch, *packs: Path) -> None:
+    """Make reading ``packs`` fail as another user's pack in a shared
+    cache would (``EACCES``); every other file reads as usual."""
+    names = {pack.name for pack in packs}
+    read_bytes, real_open = Path.read_bytes, open
+
+    def denied(path) -> None:
+        if Path(path).name in names:
+            raise PermissionError(13, "Permission denied", str(path))
+
+    def guarded_read_bytes(self):
+        denied(self)
+        return read_bytes(self)
+
+    def guarded_open(file, *args, **kwargs):
+        denied(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", guarded_read_bytes)
+    monkeypatch.setattr(store, "open", guarded_open, raising=False)
+
+
+def test_an_unreadable_new_pack_is_not_unlinked(tmp_path, monkeypatch) -> None:
+    writer = MeasurementCache(tmp_path)
+    old = writer.put([(KEY, _measurement("CG.T.4"))])
+    new = writer.put([(KEY, _measurement("EP.T.4"))])
+    reader = MeasurementCache(tmp_path)
+    with monkeypatch.context() as patched:
+        _unreadable(patched, new)
+        assert reader.get(KEY).workload == "CG.T.4"
+    # Not read, so not indexed: neither pack counts as dead.
+    assert writer.packs() == [old, new]
+    reader.refresh()  # the next listing retries the pack
+    assert reader.get(KEY).workload == "EP.T.4"
+    assert writer.packs() == [new]
+
+
+def test_a_pack_that_cannot_be_reread_keeps_its_slots(
+    tmp_path, monkeypatch
+) -> None:
+    cache = MeasurementCache(tmp_path)
+    pack = cache.put([(KEY, _measurement())])
+    with monkeypatch.context() as patched:
+        _unreadable(patched, pack)
+        assert cache.get(KEY) is None  # a miss, not an eviction
+    assert cache.stats.evicted_corrupt == 0
+    # A listing that indexes another process's pack leaves it be.
+    MeasurementCache(tmp_path).put([(SIBLINGS[0], _measurement())])
+    cache.refresh()
+    assert cache.get(SIBLINGS[0]) is not None
+    assert pack.exists()
+    assert cache.get(KEY) is not None
 
 
 def test_failed_put_leaves_no_file(tmp_path) -> None:
