@@ -441,10 +441,10 @@ class ParallelRunner:
                     self.stats.hits += 1
                     continue
                 if self.cache is not None:
-                    evicted = self.cache.stats.evicted_corrupt
+                    evicted = self.cache.evicted_corrupt
                     cached = self.cache.get(key)
                     self.stats.evicted_corrupt += (
-                        self.cache.stats.evicted_corrupt - evicted
+                        self.cache.evicted_corrupt - evicted
                     )
                     if cached is not None:
                         results[index] = cached

@@ -14,10 +14,9 @@ its :class:`~repro.trace.events.TraceLog` as
 :func:`~repro.trace.slog.trace_to_csv` text, so a warm campaign
 replays the performance-trace figures from disk too.  Records are
 written one **pack** (a JSONL file) per ``ParallelRunner.map`` call and
-found through an in-memory index of pack positions; caches in the
-older one-file-per-point layout stay readable.  See
-``docs/performance.md`` for the key schema, the pack layout and the
-invalidation rules.
+found through an in-memory index of pack positions; once renamed into
+place, a pack is never rewritten.  See ``docs/performance.md`` for the
+key schema, the pack layout and the invalidation rules.
 """
 
 from __future__ import annotations
@@ -191,10 +190,12 @@ def _energies_from_runs(runs: Any) -> dict[int, float]:
 
 
 def _energies_from_dict(per_node: Any) -> dict[int, float]:
-    """Decode the legacy ``{"<node>": joules}`` form, in node order.
+    """Decode the archive ``{"<node>": joules}`` form, in node order.
 
-    JSON writers sort these keys as strings (``"0", "1", "10", …``);
-    every engine produces ascending node ids, so that order is restored.
+    This is the form :func:`save_json` results hold and
+    :func:`sweep_from_dict` reads back.  JSON writers sort these keys
+    as strings (``"0", "1", "10", …``); every engine produces ascending
+    node ids, so that order is restored.
     """
     return dict(
         sorted(
@@ -207,8 +208,8 @@ def measurement_from_dict(data: Mapping[str, Any]) -> Measurement:
     """Inverse of :func:`measurement_to_dict` and of the cache entry form.
 
     Per-node energies may come as ``per_node_energy_runs`` (cache
-    entries) or as the ``per_node_energy_j`` dict (archives and
-    cache entries written before the runs form).  A traced cache
+    records) or as the ``per_node_energy_j`` dict (the archive form of
+    :func:`measurement_to_dict`).  A traced cache
     entry's ``trace`` field (:func:`~repro.trace.slog.trace_to_csv`
     text) is restored with :func:`~repro.trace.slog.trace_from_csv`.
     Every structural defect raises ``KeyError``, ``ValueError`` or
@@ -431,7 +432,7 @@ def default_cache_dir() -> Path:
 
 @dataclasses.dataclass
 class CacheStats:
-    """Hit/miss counters for one runner/cache lifetime."""
+    """Hit/miss counters for one runner's lifetime."""
 
     hits: int = 0
     misses: int = 0
@@ -440,9 +441,10 @@ class CacheStats:
     #: were degraded by injected faults (``extras["faults"]`` present).
     runs: int = 0
     degraded_runs: int = 0
-    #: corrupt/truncated on-disk records evicted during ``get`` (each
-    #: also counts as a miss — the point re-simulates and re-stores).
-    #: A runner counts the evictions its own lookups caused.
+    #: corrupt/truncated records the cache's lookups evicted from its
+    #: index (each also counts as a miss — the point re-simulates and
+    #: its new pack supersedes the record).  A runner counts the
+    #: evictions its own lookups caused.
     evicted_corrupt: int = 0
     #: gear-plan points the straightline tiers declined at run time
     #: (``run_batch`` finished them on the event engine).
@@ -542,17 +544,17 @@ def _record_key(data: bytes, start: int, end: int) -> Optional[str]:
 
 def _index_pack(
     index: dict[str, tuple[str, int, int]], name: str, data: bytes
-) -> list[tuple[int, int]]:
+) -> int:
     """Point ``index`` at the records of pack ``name`` (its bytes
     ``data``) that are the latest for their key.
 
     A record wins over one in the same pack or an earlier one (pack
-    names sort in write order).  Returns the ``(start, end)`` spans of
-    the lines that do not start like a record (an empty pack is one).
+    names sort in write order).  Returns how many lines do not start
+    like a record (an empty pack is one).
     """
     if not data:  # put never writes an empty pack: this one was cut
-        return [(0, 0)]
-    bad: list[tuple[int, int]] = []
+        return 1
+    bad = 0
     start = 0
     while start < len(data):
         end = data.find(b"\n", start)
@@ -560,7 +562,7 @@ def _index_pack(
             end = len(data)
         key = _record_key(data, start, end)
         if key is None:
-            bad.append((start, end))
+            bad += 1
         else:
             slot = index.get(key)
             if slot is None or slot[0] <= name:
@@ -612,33 +614,32 @@ class MeasurementCache:
     offset, length), built on the first lookup; it holds positions,
     never record text.  After :meth:`refresh` (once per ``map`` call),
     the next lookup lists the root once and indexes the packs written
-    since, by this process or another.  Records in the per-file layout
-    of earlier versions, ``ab/<key>.json`` by the first key byte, are
-    still read when a pack has no record of the key; a root without
-    such fan-out directories pays no per-key ``stat`` for them.
+    since, by this process or another.
 
-    A corrupt record (a writer killed mid-``replace`` on a
-    non-atomic filesystem, a bad disk block) is evicted on first
-    contact and counted in ``stats.evicted_corrupt``: it is cut out of
-    its pack, whose other records still hit, and a pack with no live
-    record left is unlinked, as is a corrupt per-file entry.  The slot
-    then re-simulates and re-stores once instead of re-failing every
-    run.  A line that does not even start like a record (so no key
-    names it) is evicted the same way when its pack is indexed.  The
-    cache keeps no in-process copies: a runner's ``memo`` answers
-    repeated keys before :meth:`get` is reached.
+    Once :meth:`put` renames a pack into place, nothing rewrites it.
+    A corrupt record (a writer killed mid-``replace`` on a non-atomic
+    filesystem, a bad disk block) is evicted on first contact: it is
+    dropped from the in-memory index and counted in
+    :attr:`evicted_corrupt`, and :meth:`get` misses.  The runner then
+    re-simulates the point, and that ``map`` call's new pack
+    supersedes the record (the later record wins).  A line that does
+    not even start like a record (so no key names it) is counted when
+    its pack is indexed.  Disk space comes back through the dead-pack
+    rule: a listing that indexes new packs unlinks every pack it has
+    read that the index no longer points into.  The cache keeps no
+    in-process copies: a runner's ``memo`` answers repeated keys
+    before :meth:`get` is reached.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.stats = CacheStats()
+        #: corrupt records and keyless lines this cache's lookups met
+        self.evicted_corrupt = 0
         #: key -> (pack name, offset, length) of its latest record
         self._index: dict[str, tuple[str, int, int]] = {}
         #: names of the packs already indexed
         self._packs: set[str] = set()
         self._listed = False
-        #: whether the last listing saw per-file fan-out directories
-        self._fan_out = False
         self._last_ns = 0
 
     # -- lookup --------------------------------------------------------
@@ -648,71 +649,35 @@ class MeasurementCache:
         self._listed = False
 
     def get(self, key: str) -> Optional[Measurement]:
-        """The cached measurement for ``key``, or None (counted)."""
+        """The cached measurement for ``key``, or None on a miss."""
         if not self._listed:
             self._list()
         slot = self._index.get(key)
-        if slot is not None:
-            text = self._read(key, slot)
-            if text is None:
-                # The pack changed since it was indexed: another process
-                # cut a corrupt record out of it, or cleared the cache.
-                # A pack that cannot be read now keeps its slots.
-                data = self._read_pack(slot[0])
-                if data is not None:
-                    self._reindex(slot[0], data)
-                    slot = self._index.get(key)
-                    text = None if slot is None else self._read(key, slot)
-            if text is not None:
-                measurement = _decode(text)
-                if measurement is None:
-                    del self._index[key]
-                    name, start, length = slot
-                    data = self._read_pack(name)
-                    if data is not None:
-                        self._drop(name, data, [(start, start + length)])
-                    return self._evicted()
-                self.stats.hits += 1
-                return measurement
-        if self._fan_out:
-            path = self._file(key)
-            try:
-                text = _text(path.read_bytes())
-            except OSError:
-                pass
-            else:
-                measurement = _decode(text)
-                if measurement is None:
-                    path.unlink(missing_ok=True)
-                    return self._evicted()
-                self.stats.hits += 1
-                return measurement
-        self.stats.misses += 1
-        return None
-
-    def _evicted(self) -> None:
-        self.stats.evicted_corrupt += 1
-        self.stats.misses += 1
-        return None
-
-    def _file(self, key: str) -> Path:
-        """Where the per-file layout keeps ``key``."""
-        return self.root / key[:2] / f"{key}.json"
+        if slot is None:
+            return None
+        text = self._read(key, slot)
+        if text is None:
+            # The pack is gone (the cache was cleared) or cannot be
+            # read now: a plain miss that keeps its slot.
+            return None
+        measurement = _decode(text)
+        if measurement is None:
+            del self._index[key]
+            self.evicted_corrupt += 1
+        return measurement
 
     def _list(self) -> None:
         """List the root once: index every pack not indexed yet, in
-        write order, and note whether fan-out directories exist."""
+        write order."""
         self._listed = True
-        self._fan_out = False
-        new = []
         try:
             with os.scandir(self.root) as listing:
-                for entry in listing:
-                    if entry.name.endswith(PACK_SUFFIX):
-                        if entry.name not in self._packs:
-                            new.append(entry.name)
-                    elif len(entry.name) == 2 and entry.is_dir():
-                        self._fan_out = True
+                new = [
+                    entry.name
+                    for entry in listing
+                    if entry.name.endswith(PACK_SUFFIX)
+                    and entry.name not in self._packs
+                ]
         except OSError:  # no root yet: nothing stored
             return
         for name in sorted(new):
@@ -723,30 +688,16 @@ class MeasurementCache:
                 # it, and a pack not indexed is never unlinked as dead.
                 continue
             self._packs.add(name)
-            bad = _index_pack(self._index, name, data)
-            if bad:
-                self.stats.evicted_corrupt += len(bad)
-                self._drop(name, data, bad)
+            self.evicted_corrupt += _index_pack(self._index, name, data)
         if new:
-            # A pack read and indexed whose every record a later one
-            # superseded is dead bytes to every fresh reader: unlink
-            # it, as ``_drop`` does.
+            # A pack read and indexed that the index no longer points
+            # into (every record superseded, corrupt or keyless) is
+            # dead bytes to every fresh reader: unlink it.
             live = {slot[0] for slot in self._index.values()}
             for name in self._packs - live:
                 with contextlib.suppress(OSError):
                     (self.root / name).unlink()
             self._packs &= live
-
-    def _read_pack(self, name: str) -> Optional[bytes]:
-        """Pack ``name``'s bytes: ``b""`` when it is gone (another
-        process cleared the cache), None when it cannot be read now
-        (permissions, file handles, I/O), so the caller leaves it be."""
-        try:
-            return (self.root / name).read_bytes()
-        except FileNotFoundError:
-            return b""
-        except OSError:
-            return None
 
     def _read(self, key: str, slot: tuple[str, int, int]) -> Optional[str]:
         """The record at ``slot``, or None unless it is still ``key``'s."""
@@ -761,31 +712,6 @@ class MeasurementCache:
         if len(data) != length or not data.startswith(head):
             return None
         return _text(data)
-
-    def _reindex(self, name: str, data: bytes) -> None:
-        """Re-point the index at pack ``name`` as it now is (``data``)."""
-        for key in [k for k, slot in self._index.items() if slot[0] == name]:
-            del self._index[key]
-        _index_pack(self._index, name, data)
-
-    def _drop(self, name: str, data: bytes, spans: list[tuple[int, int]]) -> None:
-        """Cut the lines at ``spans`` out of pack ``name`` (its bytes
-        ``data``), or unlink the pack when none of its records is live."""
-        path = self.root / name
-        if data and any(slot[0] == name for slot in self._index.values()):
-            kept = bytearray()
-            start = 0
-            for begin, end in spans:
-                kept += data[start:begin]
-                start = end + 1
-            kept += data[start:]
-            data = bytes(kept)
-            with _replacing(path) as pack:
-                pack.write(data)
-        else:
-            path.unlink(missing_ok=True)
-            data = b""
-        self._reindex(name, data)
 
     # -- storing -------------------------------------------------------
     def put(self, items: AbcSequence[tuple[str, Measurement]]) -> Path:
@@ -812,7 +738,6 @@ class MeasurementCache:
             slot = self._index.get(key)
             if slot is None or slot[0] <= name:
                 self._index[key] = (name, start, length)
-        self.stats.stores += len(items)
         return path
 
     # -- inventory -----------------------------------------------------
@@ -822,32 +747,22 @@ class MeasurementCache:
 
     def records(self) -> dict[str, bytes]:
         """Every stored measurement's record text by key, as a fresh
-        reader would serve it: a key's latest pack record, else its
-        per-file entry."""
+        reader would serve it: a key's latest pack record."""
         index: dict[str, tuple[str, int, int]] = {}
         data = {}
         for path in self.packs():
             data[path.name] = path.read_bytes()
             _index_pack(index, path.name, data[path.name])
-        out = {
+        return {
             key: data[name][start : start + length]
             for key, (name, start, length) in index.items()
         }
-        for path in self.root.glob("??/*.json"):
-            out.setdefault(path.stem, path.read_bytes())
-        return out
 
     def clear(self) -> int:
-        """Delete every pack and per-file entry; returns how many
-        measurements they held."""
+        """Delete every pack; returns how many measurements they held."""
         removed = len(self)
         for path in self.packs():
             path.unlink(missing_ok=True)
-        for path in self.root.glob("??/*.json"):
-            path.unlink(missing_ok=True)
-        for path in self.root.glob("??/"):
-            with contextlib.suppress(OSError):  # not empty: not ours
-                path.rmdir()
         self._index.clear()
         self._packs.clear()
         self._listed = False
@@ -860,9 +775,9 @@ class MeasurementCache:
 
 @contextlib.contextmanager
 def _replacing(path: Path) -> Iterator[BinaryIO]:
-    """A file to write ``path``'s new content into; it replaces
-    ``path`` in one rename when the block ends without an error, so
-    readers see the whole file or none of it."""
+    """A temp file to write ``path``'s content into; it is renamed to
+    ``path`` when the block ends without an error, so readers see the
+    whole file or none of it."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as file:

@@ -1,16 +1,20 @@
 """MeasurementCache robustness: corrupt-record eviction and telemetry.
 
-The disk cache must heal itself when a record is corrupt (cut it out
-of its pack or unlink its file, count it, re-simulate), visibly in
-``CacheStats`` and the runner's rendered telemetry.  Caches in the
-per-file layout of earlier versions stay readable, and several
-processes may write one root.
+The disk cache must heal itself when a record is corrupt (drop it from
+the index, count it, re-simulate, let the new pack supersede it),
+visibly in the runner's ``CacheStats`` and rendered telemetry.  A pack
+is never rewritten once stored: readers only unlink dead packs.  The
+per-file layout of earlier versions (``ab/<key>.json``) is ignored,
+and several processes may write one root.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import multiprocessing
+import os
 
 from pathlib import Path
 
@@ -117,6 +121,12 @@ _GARBAGE = {
 }
 
 
+def _keyless(line: str) -> bool:
+    """Whether ``line`` does not start like a record, so no key names it."""
+    data = line.encode()
+    return store._record_key(data, 0, len(data)) is None
+
+
 @pytest.mark.parametrize("garbage", list(_GARBAGE.values()), ids=list(_GARBAGE))
 def test_corrupt_entry_is_evicted(tmp_path, garbage: str) -> None:
     cache = MeasurementCache(tmp_path)
@@ -124,11 +134,19 @@ def test_corrupt_entry_is_evicted(tmp_path, garbage: str) -> None:
     path.write_text(garbage)
     fresh = MeasurementCache(tmp_path)
     assert fresh.get(KEY) is None
-    assert fresh.stats.evicted_corrupt == 1
-    assert fresh.stats.misses == 1
-    assert not path.exists()  # nothing valid was left in the pack
-    fresh.put([(KEY, _measurement())])
-    assert MeasurementCache(tmp_path).get(KEY) is not None
+    assert fresh.evicted_corrupt == 1
+    if _keyless(garbage):
+        # Indexing found no record in the pack: the dead-pack rule
+        # unlinked it in the same listing.
+        assert not path.exists()
+    else:
+        assert path.read_text() == garbage  # evicted in memory only
+    healed = fresh.put([(KEY, _measurement())])
+    assert fresh.get(KEY) == _measurement()
+    assert MeasurementCache(tmp_path).get(KEY) == _measurement()
+    # That fresh reader indexed both packs; the corrupt one holds no
+    # live record, so its listing unlinked it.
+    assert MeasurementCache(tmp_path).packs() == [healed]
 
 
 SIBLINGS = ["12" + "3" * 62, "ef" + "4" * 62]
@@ -151,52 +169,62 @@ def _pack_with(tmp_path, line: str):
 @pytest.mark.parametrize("garbage", list(_GARBAGE.values()), ids=list(_GARBAGE))
 def test_corrupt_record_in_a_pack_is_evicted_alone(tmp_path, garbage) -> None:
     path = _pack_with(tmp_path, garbage)
+    before = path.read_bytes()
     fresh = MeasurementCache(tmp_path)
     assert fresh.get(KEY) is None
-    assert fresh.stats.evicted_corrupt == 1
-    assert fresh.stats.misses == 1
+    assert fresh.evicted_corrupt == 1
     # The sibling records still hit, from this reader and a fresh one.
     for reader in (fresh, MeasurementCache(tmp_path)):
         assert reader.get(SIBLINGS[0]) == _measurement("CG.T.4")
         assert reader.get(SIBLINGS[1]) == _measurement("EP.T.4")
-    assert path.exists()
-    # The record was cut out of the pack: a fresh reader plainly misses.
+    # The pack was not rewritten: a fresh reader evicts the record too.
+    assert path.read_bytes() == before
     again = MeasurementCache(tmp_path)
     assert again.get(KEY) is None
-    assert (again.stats.evicted_corrupt, again.stats.misses) == (0, 1)
-    assert sorted(json.loads(line)["key"]
-                  for line in path.read_text().splitlines()) == SIBLINGS
+    assert again.evicted_corrupt == 1
     # The next put heals the slot.
-    fresh.put([(KEY, _measurement())])
+    healed = fresh.put([(KEY, _measurement())])
     assert fresh.get(KEY) == _measurement()
     assert MeasurementCache(tmp_path).get(KEY) == _measurement()
+    # The siblings keep the old pack live, so no listing unlinks it.
+    assert MeasurementCache(tmp_path).packs() == [path, healed]
+    assert path.read_bytes() == before
 
 
 def test_every_corrupt_record_of_a_pack_is_evicted(tmp_path) -> None:
     path = MeasurementCache(tmp_path).put(
         [(KEY, _measurement()), (SIBLINGS[0], _measurement())])
     path.write_text(path.read_text().replace('"energy_j": 100.0', '"energy_j": "x"'))
+    before = path.read_bytes()
     fresh = MeasurementCache(tmp_path)
     assert fresh.get(KEY) is None
-    assert path.exists()  # SIBLINGS[0] is still live
     assert fresh.get(SIBLINGS[0]) is None
-    assert fresh.stats.evicted_corrupt == 2
-    assert not path.exists()  # nothing valid left
+    assert fresh.evicted_corrupt == 2
+    assert path.read_bytes() == before  # evicted in memory only
+    healed = fresh.put([(KEY, _measurement()), (SIBLINGS[0], _measurement())])
+    assert fresh.get(KEY) == fresh.get(SIBLINGS[0]) == _measurement()
+    # A fresh reader's listing finds both records superseded.
+    reader = MeasurementCache(tmp_path)
+    assert reader.get(KEY) == _measurement() and reader.evicted_corrupt == 0
+    assert reader.packs() == [healed]
 
 
 def test_undecodable_record_is_evicted(tmp_path) -> None:
     path = MeasurementCache(tmp_path).put(
         [(KEY, _measurement()), (SIBLINGS[0], _measurement())])
     path.write_bytes(path.read_bytes().replace(b"FT.T.4", b"FT.T.\xff", 1))
+    before = path.read_bytes()
     fresh = MeasurementCache(tmp_path)
     assert fresh.get(KEY) is None
-    assert (fresh.stats.evicted_corrupt, fresh.stats.misses) == (1, 1)
+    assert fresh.evicted_corrupt == 1
     assert fresh.get(SIBLINGS[0]) == _measurement()
+    assert path.read_bytes() == before
+    # A per-file entry is never read, so never evicted nor unlinked.
     old = _write_file(tmp_path / "old", KEY, "")
     old.write_bytes(_entry().encode().replace(b"FT.T.4", b"FT.T.\xff"))
     cache = MeasurementCache(tmp_path / "old")
-    assert cache.get(KEY) is None and cache.stats.evicted_corrupt == 1
-    assert not old.exists()
+    assert cache.get(KEY) is None and cache.evicted_corrupt == 0
+    assert old.read_bytes() == _entry().encode().replace(b"FT.T.4", b"FT.T.\xff")
 
 
 def test_pack_cut_mid_record_keeps_its_whole_records(tmp_path) -> None:
@@ -207,8 +235,8 @@ def test_pack_cut_mid_record_keeps_its_whole_records(tmp_path) -> None:
     fresh = MeasurementCache(tmp_path)
     assert fresh.get(SIBLINGS[0]) == _measurement("CG.T.4")
     assert fresh.get(KEY) is None
-    assert (fresh.stats.evicted_corrupt, fresh.stats.misses) == (1, 1)
-    assert path.read_text() == text.split("\n")[0] + "\n"
+    assert fresh.evicted_corrupt == 1
+    assert path.read_text() == text[: len(text) - 40]  # left as it was
 
 
 def test_later_put_of_a_key_wins(tmp_path) -> None:
@@ -272,13 +300,28 @@ def test_a_pack_that_cannot_be_reread_keeps_its_slots(
     with monkeypatch.context() as patched:
         _unreadable(patched, pack)
         assert cache.get(KEY) is None  # a miss, not an eviction
-    assert cache.stats.evicted_corrupt == 0
+    assert cache.evicted_corrupt == 0
     # A listing that indexes another process's pack leaves it be.
     MeasurementCache(tmp_path).put([(SIBLINGS[0], _measurement())])
     cache.refresh()
     assert cache.get(SIBLINGS[0]) is not None
     assert pack.exists()
     assert cache.get(KEY) is not None
+
+
+def test_a_slot_whose_bytes_moved_is_a_plain_miss(tmp_path) -> None:
+    # Bytes at an indexed offset that no longer start with the key's
+    # record head (a cleared root whose pack name came back, or an
+    # older version of this cache that cut records out of packs): a
+    # miss, not an eviction, and the slot stays.
+    path = _pack_with(tmp_path, _entry())
+    data = path.read_bytes()
+    reader = MeasurementCache(tmp_path)
+    assert reader.get(SIBLINGS[0]) == _measurement("CG.T.4")
+    path.write_bytes(data.split(b"\n", 1)[1])  # the first record cut out
+    assert reader.get(KEY) is None and reader.evicted_corrupt == 0
+    path.write_bytes(data)
+    assert reader.get(KEY) == _measurement()
 
 
 def test_failed_put_leaves_no_file(tmp_path) -> None:
@@ -300,8 +343,7 @@ def test_put_needs_a_measurement(tmp_path) -> None:
 def test_missing_entry_is_a_plain_miss(tmp_path) -> None:
     cache = MeasurementCache(tmp_path)
     assert cache.get(KEY) is None
-    assert cache.stats.misses == 1
-    assert cache.stats.evicted_corrupt == 0
+    assert cache.evicted_corrupt == 0
 
 
 def test_clear_removes_every_entry(tmp_path) -> None:
@@ -323,15 +365,16 @@ def test_counts_are_measurements_across_both_layouts(tmp_path) -> None:
     cache = MeasurementCache(tmp_path)
     cache.put([(KEY, _measurement()), (SIBLINGS[0], _measurement())])
     cache.put([(SIBLINGS[0], _measurement("CG.T.4"))])  # a newer record
-    _write_file(tmp_path, SIBLINGS[0], _entry())  # shadowed by the packs
-    _write_file(tmp_path, SIBLINGS[1], _entry())
-    assert len(cache) == 3
+    # Per-file entries are neither counted, listed nor cleared.
+    files = [_write_file(tmp_path, SIBLINGS[0], _entry()),
+             _write_file(tmp_path, SIBLINGS[1], _entry())]
+    assert len(cache) == 2
     records = cache.records()
-    assert sorted(records) == sorted([KEY, *SIBLINGS])
+    assert sorted(records) == sorted([KEY, SIBLINGS[0]])
     assert json.loads(records[SIBLINGS[0]])["measurement"]["workload"] == "CG.T.4"
-    assert records[SIBLINGS[1]] == _entry().encode()
-    assert cache.clear() == 3
-    assert len(cache) == 0 and list(tmp_path.iterdir()) == []
+    assert cache.clear() == 2
+    assert len(cache) == 0 and cache.packs() == []
+    assert all(path.read_text() == _entry() for path in files)
     assert cache.get(KEY) is None and cache.get(SIBLINGS[1]) is None
     assert MeasurementCache(tmp_path / "none").clear() == 0  # no root yet
 
@@ -340,25 +383,27 @@ def test_counts_are_measurements_across_both_layouts(tmp_path) -> None:
 # on-disk layout
 # ----------------------------------------------------------------------
 def test_default_layout_is_the_historical_one(tmp_path) -> None:
-    # Caches written one ``ab/<key>.json`` file per point stay valid:
-    # such an entry, byte for byte as that layout stored it, is a hit.
+    # Caches written one ``ab/<key>.json`` file per point are ignored:
+    # such an entry, byte for byte as that layout stored it, is a miss
+    # and stays where it is.
     path = _write_file(tmp_path, KEY, _entry())
     cache = MeasurementCache(tmp_path)
-    assert cache.get(KEY) == _measurement()
-    assert (cache.stats.hits, cache.stats.misses) == (1, 0)
-    assert path.exists()
-    # A record is exactly the text of such an entry.
+    assert cache.get(KEY) is None
+    assert len(cache) == 0 and cache.evicted_corrupt == 0
+    assert path.read_text() == _entry()
+    # A record is still exactly the text of such an entry.
     pack = MeasurementCache(tmp_path / "new").put([(KEY, _measurement())])
     assert pack.read_bytes() == path.read_bytes() + b"\n"
 
 
 @pytest.mark.parametrize("garbage", ["{truncated", _entry(workload=4)])
 def test_corrupt_per_file_entry_is_unlinked(tmp_path, garbage) -> None:
+    # Not read, so neither evicted nor unlinked: a plain miss.
     path = _write_file(tmp_path, KEY, garbage)
     cache = MeasurementCache(tmp_path)
     assert cache.get(KEY) is None
-    assert (cache.stats.evicted_corrupt, cache.stats.misses) == (1, 1)
-    assert not path.exists()
+    assert cache.evicted_corrupt == 0
+    assert path.read_text() == garbage
 
 
 def test_put_into_a_fresh_root_creates_it(tmp_path) -> None:
@@ -371,7 +416,7 @@ def test_put_into_a_fresh_root_creates_it(tmp_path) -> None:
 
 def test_put_into_an_existing_fan_out_dir(tmp_path) -> None:
     # A root that already holds per-file entries takes packs beside
-    # them; both layouts serve, and a newer pack record wins.
+    # them; only packs serve, and the per-file entry is left alone.
     old = _write_file(tmp_path, KEY, _entry())
     other = KEY[:2] + "1" * 62
     cache = MeasurementCache(tmp_path)
@@ -379,10 +424,11 @@ def test_put_into_an_existing_fan_out_dir(tmp_path) -> None:
     assert path.parent == tmp_path
     assert sorted(p.name for p in old.parent.iterdir()) == [f"{KEY}.json"]
     assert cache.get(other).workload == "CG.T.4"
-    assert cache.get(KEY).workload == "FT.T.4"  # the per-file entry
+    assert cache.get(KEY) is None  # the per-file entry is not read
     cache.put([(KEY, _measurement("EP.T.4"))])
     assert cache.get(KEY).workload == "EP.T.4"
     assert MeasurementCache(tmp_path).get(KEY).workload == "EP.T.4"
+    assert old.read_text() == _entry()
 
 
 def test_cold_lookup_in_a_pack_only_root_reads_no_file(tmp_path, monkeypatch):
@@ -393,11 +439,11 @@ def test_cold_lookup_in_a_pack_only_root_reads_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "read_bytes",
                         lambda self: opened.append(self) or real(self))
     assert cache.get(KEY) is None and opened == []
-    # A fan-out directory turns per-file lookups on at the next listing.
-    (tmp_path / SIBLINGS[1][:2]).mkdir()
+    # Nor does a root with a fan-out directory and a per-file entry.
+    _write_file(tmp_path, KEY, _entry())
     cache.refresh()
     assert cache.get(KEY) is None
-    assert opened == [tmp_path / KEY[:2] / f"{KEY}.json"]
+    assert opened == []
     assert cache.get(SIBLINGS[0]) == _measurement()
 
 
@@ -432,7 +478,6 @@ def test_two_processes_share_one_root(tmp_path) -> None:
     for workload in ("CG.T.4", "EP.T.4"):
         assert fresh.get(_writer_key(workload)) == _measurement(workload)
     assert fresh.get(SHARED) == _measurement("EP.T.4")  # the later pack
-    assert fresh.stats.hits == 3
     # The older reader sees the other writers' packs only once told a
     # new map call started; then it hits them too.
     assert reader.get(_writer_key("CG.T.4")) is None
@@ -454,15 +499,91 @@ def test_runner_picks_up_another_writers_pack_on_its_next_map(tmp_path):
 
 def test_a_record_cut_out_by_another_reader_is_found_again(tmp_path) -> None:
     path = _pack_with(tmp_path, _entry(workload=4))
+    before = path.read_bytes()
     early = MeasurementCache(tmp_path)
-    assert early.get(SIBLINGS[0]) is not None  # indexed before the cut
+    assert early.get(SIBLINGS[0]) is not None  # indexed before the eviction
     late = MeasurementCache(tmp_path)
-    assert late.get(KEY) is None  # cuts KEY's record out of the pack
-    assert early.get(SIBLINGS[1]) == _measurement("EP.T.4")  # moved
+    assert late.get(KEY) is None  # evicts KEY's record from its index
+    assert late.evicted_corrupt == 1
+    assert path.read_bytes() == before  # ... and only there
+    # The early reader's slots still point at the same bytes.
+    assert early.get(SIBLINGS[1]) == _measurement("EP.T.4")
+    assert early.evicted_corrupt == 0
     assert early.get(KEY) is None
-    assert early.stats.evicted_corrupt == 0 and path.exists()
+    assert early.evicted_corrupt == 1
     path.unlink()  # cleared under both readers
     assert early.get(SIBLINGS[0]) is None
+
+
+def _snapshot(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
+def test_readers_never_write(tmp_path, monkeypatch) -> None:
+    # A root holding a superseded pack, a pack with a corrupt record
+    # and a keyless line, and a pack this reader cannot read at first.
+    superseded = MeasurementCache(tmp_path).put(
+        [(SIBLINGS[0], _measurement("CG.T.4"))])
+    mixed = _pack_with(tmp_path, _entry(workload=4))
+    mixed.write_text(mixed.read_text() + "{truncated\n")
+    hidden = MeasurementCache(tmp_path).put([(SHARED, _measurement())])
+    before = _snapshot(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a reader wrote: {args!r}")
+
+    def guard(real):
+        def guarded(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                refuse(file, mode)
+            return real(file, mode, *args, **kwargs)
+        return guarded
+
+    writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+    real_os_open, real_unlink = os.open, Path.unlink
+
+    def os_open(path, flags, *args, **kwargs):
+        if flags & writes:
+            refuse(path, flags)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    unlinked = []
+
+    def unlink(self, *args, **kwargs):
+        unlinked.append(self.name)
+        return real_unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(store, "_replacing", refuse)
+    monkeypatch.setattr(builtins, "open", guard(builtins.open))
+    monkeypatch.setattr(io, "open", guard(io.open))
+    monkeypatch.setattr(os, "open", os_open)
+    for name in ("replace", "rename", "write_bytes", "write_text", "touch"):
+        monkeypatch.setattr(Path, name, refuse)
+    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "rename", refuse)
+    monkeypatch.setattr(Path, "unlink", unlink)
+
+    reader = MeasurementCache(tmp_path)
+    with monkeypatch.context() as patched:
+        _unreadable(patched, hidden)
+        assert reader.get(KEY) is None
+        assert reader.evicted_corrupt == 2  # the keyless line and KEY's
+        assert reader.get(SIBLINGS[0]) == _measurement("CG.T.4")
+        assert reader.get(SIBLINGS[1]) == _measurement("EP.T.4")
+        assert reader.get(SHARED) is None  # not indexed
+    reader.refresh()
+    assert reader.get(SHARED) == _measurement()
+    assert reader.get(KEY) is None and reader.evicted_corrupt == 2
+    fresh = MeasurementCache(tmp_path)
+    assert fresh.get(KEY) is None and fresh.evicted_corrupt == 2
+    assert len(fresh) == 4
+    assert sorted(fresh.records()) == sorted([KEY, SHARED, *SIBLINGS])
+    monkeypatch.undo()
+
+    # The one change the readers made: the dead-pack unlink.
+    assert unlinked == [superseded.name]
+    del before[superseded.name]
+    assert _snapshot(tmp_path) == before
 
 
 # ----------------------------------------------------------------------

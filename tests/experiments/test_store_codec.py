@@ -7,8 +7,9 @@ of a thousand-key dict.  The invariants:
 
 * ``put``/``get`` round-trips every per-node value bit for bit (±0.0,
   ±inf, NaN, subnormals, ints) and the dict's iteration order;
-* entries written before the runs form (a ``{"<node>": joules}`` dict,
-  its keys sorted as strings) are still hits, decoded in node order;
+* the archive form (a ``{"<node>": joules}`` dict, its keys sorted as
+  strings) decodes in node order, while the same text left under a
+  cache root in the pre-pack per-file layout is a miss;
 * a cache hit iterates its nodes exactly like a fresh run, so summing
   the per-node energies gives ``energy_j`` bit for bit;
 * the encoder's one-run shortcut and the decoder's one-run dict match
@@ -68,7 +69,7 @@ def _round_trip(tmp_path, measurement: Measurement) -> Measurement:
     fresh = MeasurementCache(tmp_path)  # a disk read, not the hot layer
     got = fresh.get(KEY)
     assert got is not None
-    assert fresh.stats.hits == 1 and fresh.stats.evicted_corrupt == 0
+    assert fresh.evicted_corrupt == 0
     return got
 
 
@@ -168,9 +169,10 @@ def test_spmd_entry_is_one_run(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# entries written before the runs form
+# the archive dict form
 # ----------------------------------------------------------------------
-#: An entry exactly as a dict-form writer stored it: per-node keys as
+#: An entry exactly as a dict-form writer stored it (``save_json``, and
+#: the per-file cache layout before the runs form): per-node keys as
 #: strings, sorted as strings, so node 10 precedes node 2.
 LEGACY_KEY = "cd" + "1" * 62
 LEGACY_ENTRY = (
@@ -212,13 +214,14 @@ def _assert_legacy(m: Measurement) -> None:
 
 
 def test_legacy_entry_is_a_hit_in_node_order(tmp_path):
+    _assert_legacy(
+        store.measurement_from_dict(json.loads(LEGACY_ENTRY)["measurement"]))
+    # The same text as a pre-pack ``ab/<key>.json`` entry is not read.
     path = _write_legacy(tmp_path)
     cache = MeasurementCache(tmp_path)
-    m = cache.get(LEGACY_KEY)
-    assert cache.stats.hits == 1 and cache.stats.misses == 0
-    assert cache.stats.evicted_corrupt == 0
-    assert path.exists()
-    _assert_legacy(m)
+    assert cache.get(LEGACY_KEY) is None
+    assert cache.evicted_corrupt == 0
+    assert path.read_text() == LEGACY_ENTRY
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,7 @@ class TestPoolFailureSurfacing:
         ]
         with ParallelRunner(jobs=2, memo=False, task_retries=0) as r:
             with pytest.raises(TaskFailedError) as err:
-                r.map_sweep(tasks)
+                r.map(tasks)
         assert err.value.task.seed == 3
         assert "seed=3" in str(err.value)
         assert "boom: injected test failure" in str(err.value)

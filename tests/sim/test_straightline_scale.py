@@ -1,12 +1,12 @@
 """The quotient (group-representative) tier at scale, bit for bit.
 
-The node-major vectorized path simulates one interpreter rank per
-execution group instead of one per rank, so a thousand-node symmetric
-sweep costs group-count work.  Its contract is the tier's usual one —
-*exact* reproduction of the event engine's arithmetic, ``==`` on raw
-floats, no tolerances — plus pins on everything the speedup must not
-change: cache keys, :data:`MODEL_VERSION`, and honest fallback on
-point-to-point workloads.
+The quotient tier interprets one rank per execution group (see
+``_vector_partition``) instead of one per rank, so a thousand-node
+symmetric sweep costs group-count work.  Its contract is the tier's
+usual one — *exact* reproduction of the event engine's arithmetic,
+``==`` on raw floats, no tolerances — plus pins on everything the
+speedup must not change: cache keys, :data:`MODEL_VERSION`, and honest
+fallback on point-to-point workloads.
 
 Satellite coverage for the gear-plan lowering cache (LRU bound +
 process-wide reuse counters surfaced through ``CacheStats``) and the
@@ -81,7 +81,7 @@ def make(code: str, nprocs: int):
 
 
 # ----------------------------------------------------------------------
-# the differential matrix: vector tier ≡ event engine at N ∈ {16,64,256}
+# the differential matrix: quotient tier ≡ event engine at N ∈ {16,64,256}
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
 @pytest.mark.parametrize("nprocs,seeds", MATRIX)
