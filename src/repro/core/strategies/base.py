@@ -15,18 +15,20 @@ __all__ = ["GearPlan", "SampledController", "Strategy", "NoDvsStrategy"]
 
 @dataclass(frozen=True)
 class GearPlan:
-    """A strategy's DVS behaviour, lowered to static data.
+    """A static schedule: the speed calls both engines issue.
 
     A gear plan states — as a deterministic, data-independent function
     of (rank, phase) — every operating point the strategy will ever set:
-    the per-rank speed applied during :meth:`Strategy.setup` and the
-    exact ``set_cpuspeed`` calls its hooks would issue at each hook
-    site.  Strategies that can produce one (no-DVS, EXTERNAL, both
-    INTERNAL policy shapes) qualify for the piecewise-static
-    straightline tier (:mod:`repro.sim.straightline`); strategies whose
-    speed choices depend on simulation state (daemons, predictive
-    schedulers) cannot, and return ``None`` from
-    :meth:`Strategy.gear_plan`.
+    the per-rank speed pinned before launch and the exact
+    ``set_cpuspeed`` calls issued at each hook site.  It is the only
+    description of such a schedule: the event engine runs it through
+    :meth:`setup` and :meth:`hooks`, and the piecewise-static
+    straightline tier (:mod:`repro.sim.straightline`) lowers the same
+    calls onto the compiled program.  Strategies that can produce one
+    (no-DVS, EXTERNAL, both INTERNAL policy shapes, the optimizer's
+    plans) need no hooks or setup of their own; strategies whose speed
+    choices depend on simulation state (daemons, predictive schedulers)
+    cannot, and return ``None`` from :meth:`Strategy.gear_plan`.
 
     Attributes
     ----------
@@ -91,6 +93,49 @@ class GearPlan:
             if name == phase:
                 return calls
         return ()
+
+    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
+        """Pin each participating node at its start speed, in node order.
+
+        With no start speed every node is pinned at the fastest point:
+        a no-op on a fresh CPU, which draws no fault.
+        """
+        speeds = self.start_mhz_per_rank
+        if speeds is None:
+            mhz = self.start_mhz
+            if mhz is None:
+                mhz = cluster.opoints.fastest.frequency_mhz
+            speeds = (mhz,) * len(node_ids)
+        elif len(speeds) != len(node_ids):
+            raise ValueError(
+                f"{len(node_ids)} participating nodes but the plan sets "
+                f"{len(speeds)} start speeds"
+            )
+        for nid, mhz in zip(node_ids, speeds):
+            cluster[nid].cpu.set_speed_mhz(mhz)
+
+    def hooks(self) -> PhaseHooks:
+        """The plan's in-run calls as workload instrumentation."""
+        return NO_HOOKS if self.static else _PlanHooks(self)
+
+
+class _PlanHooks(PhaseHooks):
+    """Issue a :class:`GearPlan`'s calls at each hook site."""
+
+    def __init__(self, plan: GearPlan) -> None:
+        self.plan = plan
+
+    def on_init(self, ctx) -> None:
+        for mhz in self.plan.calls_at("init", "", ctx.rank):
+            ctx.set_cpuspeed(mhz)
+
+    def phase_begin(self, ctx, phase: str) -> None:
+        for mhz in self.plan.calls_at("begin", phase, ctx.rank):
+            ctx.set_cpuspeed(mhz)
+
+    def phase_end(self, ctx, phase: str) -> None:
+        for mhz in self.plan.calls_at("end", phase, ctx.rank):
+            ctx.set_cpuspeed(mhz)
 
 
 @dataclass(frozen=True)
@@ -249,12 +294,16 @@ class Strategy(abc.ABC):
     The framework drives a strategy through three touch points:
 
     * :meth:`hooks` — instrumentation handed to the workload program
-      (only the INTERNAL strategy uses this; it is how ``set_cpuspeed``
-      calls are "inserted into the source", Figure 3).
+      (how INTERNAL ``set_cpuspeed`` calls are "inserted into the
+      source", Figure 3).
     * :meth:`setup` — before the job starts: set static frequencies
       (EXTERNAL) or start the :meth:`controller`'s daemon processes
       (CPUSPEED and the other daemons).
     * :meth:`teardown` — after the job: stop daemons.
+
+    A static schedule publishes a :class:`GearPlan` and overrides
+    neither :meth:`hooks` nor :meth:`setup`: both default to running
+    the plan.
     """
 
     #: short display name, e.g. ``"cpuspeed"``.
@@ -263,15 +312,20 @@ class Strategy(abc.ABC):
     _daemons: Sequence = ()
 
     def hooks(self, workload: Workload) -> PhaseHooks:
-        """Source-level instrumentation (default: none)."""
-        return NO_HOOKS
+        """Source-level instrumentation: the gear plan's in-run calls
+        (none without a plan)."""
+        plan = self.gear_plan(workload)
+        return NO_HOOKS if plan is None else plan.hooks()
 
     def gear_plan(self, workload: Optional[Workload] = None) -> Optional[GearPlan]:
         """Lower this strategy's DVS behaviour to a :class:`GearPlan`.
 
         ``workload`` is required to lower hook calls (the plan names the
         workload's phases); plans with no hook calls (no-DVS, EXTERNAL)
-        ignore it.  Returns ``None`` when the strategy's speed choices
+        ignore it.  The default :meth:`setup` applies ``gear_plan(None)``
+        and the default :meth:`hooks` issues ``gear_plan(workload)``'s
+        calls, so a strategy that publishes a plan runs it on every
+        engine.  Returns ``None`` when the strategy's speed choices
         depend on simulation state — daemons, predictive schedulers —
         which keeps such runs on the event engine.  The default is
         conservative: ``None``.
@@ -301,21 +355,12 @@ class Strategy(abc.ABC):
         """
         return ()
 
-    def is_static(self) -> bool:
-        """Whether this strategy leaves operating points fixed after setup.
-
-        Delegates to :meth:`gear_plan`: a strategy is static exactly
-        when it has a workload-independent gear plan with no in-run
-        ``set_cpuspeed`` calls — so this predicate can never diverge
-        from the plan the straightline tier executes.
-        """
-        plan = self.gear_plan(None)
-        return plan is not None and plan.static
-
     def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
         """Prepare the participating nodes before launch.
 
-        The default starts the strategy's daemon, if it has one: set
+        The default starts the strategy's daemon, if it has one, and
+        otherwise pins the start speeds of its workload-free gear plan
+        (:meth:`GearPlan.setup`).  A daemon starts like this: set
         every node to the controller's ``start_index`` (in node
         order), then start :func:`drive` — one process per node named
         ``"<name>@<node id>"``, or one named ``"<name>"`` for a global
@@ -328,6 +373,9 @@ class Strategy(abc.ABC):
         """
         spec = self.controller()
         if spec is None:
+            plan = self.gear_plan(None)
+            if plan is not None:
+                plan.setup(cluster, node_ids)
             return
         if cluster.env.now != 0.0:
             raise ValueError("a daemon starts with the cluster, at t = 0")
@@ -378,7 +426,3 @@ class NoDvsStrategy(Strategy):
 
     def gear_plan(self, workload: Optional[Workload] = None) -> Optional[GearPlan]:
         return GearPlan()
-
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        for nid in node_ids:
-            cluster[nid].cpu.set_speed_index(cluster.opoints.max_index)

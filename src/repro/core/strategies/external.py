@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.hardware.cluster import Cluster
 from repro.core.metrics import ED3P, FusedMetric, select_operating_point
 from repro.core.strategies.base import GearPlan, Strategy
 from repro.workloads.base import Workload
@@ -71,17 +70,3 @@ class ExternalStrategy(Strategy):
         if self.selected_from_profile:
             return f"external({self.metric.name}->{self.mhz:g}MHz)"
         return f"external({self.mhz:g}MHz)"
-
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        if self.per_node_mhz is not None:
-            if len(self.per_node_mhz) != len(node_ids):
-                raise ValueError(
-                    f"{len(node_ids)} participating nodes but "
-                    f"{len(self.per_node_mhz)} frequencies configured"
-                )
-            for nid, mhz in zip(node_ids, self.per_node_mhz):
-                cluster[nid].cpu.set_speed_mhz(mhz)
-        else:
-            assert self.mhz is not None
-            for nid in node_ids:
-                cluster[nid].cpu.set_speed_mhz(self.mhz)

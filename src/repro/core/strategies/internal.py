@@ -12,7 +12,10 @@ case studies:
 
 Policies are :class:`~repro.workloads.base.PhaseHooks`, i.e. exactly
 the instrumentation surface every workload program exposes at the
-source locations where the paper inserts its API calls.
+source locations where the paper inserts its API calls.  The stock
+shapes lower to a :class:`~repro.core.strategies.base.GearPlan`, and
+both engines run that plan; only a policy that cannot be lowered runs
+its own hooks.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ class PhasePolicy(PhaseHooks):
     low_mhz / high_mhz:
         The two operating points (paper FT: 600 / 1400).
     min_phase_seconds:
-        Optional guard: policies can refuse to switch for phases known
-        to be shorter than the transition cost is worth (0 disables).
+        The shortest phase the deriving heuristic thought worth a
+        switch (:func:`~repro.core.strategies.auto.derive_phase_policy`
+        records it).  Nothing acts on it: the policy switches at every
+        listed phase.  It stays a public attribute because it is part
+        of the policy's cache key.
     """
 
     def __init__(
@@ -54,7 +60,6 @@ class PhasePolicy(PhaseHooks):
         self.low_mhz = low_mhz
         self.high_mhz = high_mhz
         self.min_phase_seconds = min_phase_seconds
-        self._phase_t0: dict[tuple[int, str], float] = {}
 
     def on_init(self, ctx: RankContext) -> None:
         ctx.set_cpuspeed(self.high_mhz)
@@ -143,29 +148,29 @@ class InternalStrategy(Strategy):
         return f"internal({self.policy!r})"
 
     def hooks(self, workload: Workload) -> PhaseHooks:
-        if isinstance(self.policy, PhasePolicy):
-            unknown = self.policy.low_phases - set(workload.phases)
-            if unknown:
-                raise ValueError(
-                    f"policy targets phases {sorted(unknown)} that "
-                    f"{workload.tag} never announces (has {workload.phases})"
-                )
-        return self.policy
+        """The lowered plan's calls, or the policy itself when it cannot
+        be lowered."""
+        plan = self.gear_plan(workload)
+        return self.policy if plan is None else plan.hooks()
 
     def gear_plan(self, workload: Optional[Workload] = None) -> Optional[GearPlan]:
         """Lower the policy's hook calls to a static (rank, phase) table.
 
         Only the exact stock policy shapes are lowered — a subclass may
         override hook behaviour arbitrarily, so it conservatively stays
-        on the event engine.  A :class:`PhasePolicy` with
-        ``min_phase_seconds > 0`` would gate its calls on measured phase
-        durations, which is not static either.
+        on the event engine, which runs its own hooks.
         """
         if workload is None:
             return None
         policy = self.policy
-        if type(policy) is PhasePolicy and policy.min_phase_seconds == 0.0:
-            self.hooks(workload)  # same phase validation as the event path
+        if isinstance(policy, PhasePolicy):
+            unknown = policy.low_phases - set(workload.phases)
+            if unknown:
+                raise ValueError(
+                    f"policy targets phases {sorted(unknown)} that "
+                    f"{workload.tag} never announces (has {workload.phases})"
+                )
+        if type(policy) is PhasePolicy:
             low = tuple(sorted(policy.low_phases))
             return GearPlan(
                 init_calls=((float(policy.high_mhz),),) * workload.nprocs,

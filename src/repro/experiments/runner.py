@@ -19,7 +19,6 @@ from repro.workloads.base import Workload
 __all__ = [
     "RepeatSummary",
     "SweepResult",
-    "count_degraded",
     "frequency_sweep",
     "frequency_sweep_many",
     "normalized_point",
@@ -27,16 +26,6 @@ __all__ = [
     "run_repeated",
     "summarize_repeats",
 ]
-
-
-def count_degraded(measurements: Iterable[Measurement]) -> int:
-    """How many measurements were perturbed by injected faults.
-
-    A run simulated under a fault spec only carries a degradation
-    report (``extras["faults"]``) when a fault actually *fired*; a run
-    whose opportunities all drew "no fault" counts as clean here.
-    """
-    return sum(1 for m in measurements if m.extras.get("faults"))
 
 
 @dataclass

@@ -769,8 +769,15 @@ class MeasurementCache:
         return removed
 
     def __len__(self) -> int:
-        """How many measurements are stored (distinct keys)."""
-        return len(self.records())
+        """How many measurements are stored (distinct keys).
+
+        Counts the keys of a fresh index, built one pack at a time, so
+        only one pack's bytes are held at once.
+        """
+        index: dict[str, tuple[str, int, int]] = {}
+        for path in self.packs():
+            _index_pack(index, path.name, path.read_bytes())
+        return len(index)
 
 
 @contextlib.contextmanager

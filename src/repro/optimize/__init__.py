@@ -7,7 +7,7 @@ quotient tier.  See :mod:`repro.optimize.search` for the search itself
 and :mod:`repro.optimize.plan` for the strategy the winner becomes.
 """
 
-from repro.optimize.plan import GroupPhasePolicy, OptimalPlanStrategy
+from repro.optimize.plan import OptimalPlanStrategy
 from repro.optimize.search import (
     OptimizeResult,
     PlanCandidate,
@@ -16,7 +16,6 @@ from repro.optimize.search import (
 )
 
 __all__ = [
-    "GroupPhasePolicy",
     "OptimalPlanStrategy",
     "OptimizeResult",
     "PlanCandidate",

@@ -13,16 +13,15 @@ scheduling strategy:
 * ranks whose row *varies* issue one ``set_cpuspeed`` per phase begin,
   exactly like the paper's INTERNAL instrumentation (each call charges
   the cost model's actuation overhead, so the optimizer sees the true
-  price of per-phase switching);
-* the **event engine** executes the calls through
-  :class:`GroupPhasePolicy` (ordinary
-  :class:`~repro.workloads.base.PhaseHooks`), while the
-  **straightline/quotient tiers** execute the identical lowering via
-  :meth:`OptimalPlanStrategy.gear_plan` — ``start_mhz_per_rank`` plus
-  per-rank phase tables (``rank_begin_calls``) on the existing
-  :class:`~repro.core.strategies.base.GearPlan`, so no new engine code
-  is involved and the bit-exact tier contract extends to computed
-  schedules for free.
+  price of per-phase switching).
+
+The table lowers to one :class:`~repro.core.strategies.base.GearPlan`
+(:meth:`OptimalPlanStrategy.gear_plan`): ``start_mhz_per_rank`` plus
+per-rank phase tables (``rank_begin_calls``).  Both engines run that
+plan — the event engine through the strategy's default
+``setup``/``hooks``, the straightline and quotient tiers by lowering it
+onto the compiled program — so no engine code is specific to computed
+schedules.
 
 Two consequences the search relies on: the all-fastest table is
 bit-identical to a no-DVS run (zero calls), so the paper's baseline is
@@ -36,45 +35,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.hardware.cluster import Cluster
-from repro.mpi.communicator import RankContext
-from repro.workloads.base import PhaseHooks, Workload
+from repro.workloads.base import Workload
 from repro.core.strategies.base import GearPlan, Strategy
 
-__all__ = ["GroupPhasePolicy", "OptimalPlanStrategy"]
-
-
-class GroupPhasePolicy(PhaseHooks):
-    """Hooks issuing each varying rank's group/phase speed at phase begins.
-
-    The event-engine twin of the plan :meth:`OptimalPlanStrategy.gear_plan`
-    publishes.  Setup already pinned every rank at its first-phase speed,
-    so ranks with a phase-uniform row stay silent; ranks whose row varies
-    set the group's speed at every phase begin.  No ``phase_end`` calls
-    are needed — the next phase's begin (or the job's end) supersedes
-    the setting.
-    """
-
-    def __init__(
-        self,
-        group_of: Sequence[int],
-        phases: Sequence[str],
-        table: Sequence[Sequence[float]],
-    ) -> None:
-        self.group_of = tuple(int(g) for g in group_of)
-        self.phases = tuple(phases)
-        self.table = tuple(tuple(float(m) for m in row) for row in table)
-        self._phase_index = {p: i for i, p in enumerate(self.phases)}
-        self._varies = tuple(len(set(row)) > 1 for row in self.table)
-
-    def phase_begin(self, ctx: RankContext, phase: str) -> None:
-        index = self._phase_index.get(phase)
-        group = self.group_of[ctx.rank]
-        if index is not None and self._varies[group]:
-            ctx.set_cpuspeed(self.table[group][index])
-
-    def __repr__(self) -> str:
-        return f"GroupPhasePolicy(groups={len(self.table)}, phases={self.phases})"
+__all__ = ["OptimalPlanStrategy"]
 
 
 class OptimalPlanStrategy(Strategy):
@@ -87,8 +51,8 @@ class OptimalPlanStrategy(Strategy):
         rank-equivalence partition, or any coarsening of it).
     phases:
         Phase names the table's columns refer to, in table order.
-        Must be announced by the workload (validated in :meth:`hooks`
-        and :meth:`gear_plan`).
+        Must be announced by the workload (validated in
+        :meth:`gear_plan`).
     table:
         ``table[group][phase_index]`` = MHz for that group during that
         phase.  The group's first-phase speed doubles as its setup-time
@@ -144,47 +108,24 @@ class OptimalPlanStrategy(Strategy):
                 f"{workload.tag} never announces (has {workload.phases})"
             )
 
-    def _varies(self) -> tuple[bool, ...]:
-        return tuple(len(set(row)) > 1 for row in self.table)
-
-    def hooks(self, workload: Workload) -> PhaseHooks:
-        self._validate(workload)
-        return GroupPhasePolicy(self.group_of, self.phases, self.table)
-
     def gear_plan(self, workload: Optional[Workload] = None) -> Optional[GearPlan]:
-        if workload is None:
-            # The plan is workload-shaped (rank count, phase names); a
-            # workload-free query can only answer the static question,
-            # and that answer depends on the workload's rank count.
-            return None
-        self._validate(workload)
-        varies = self._varies()
-        start = tuple(
-            self.table[self.group_of[r]][0] for r in range(workload.nprocs)
-        )
+        """The table as a plan over ``len(group_of)`` ranks; a workload
+        only validates it."""
+        if workload is not None:
+            self._validate(workload)
+        varies = [len(set(row)) > 1 for row in self.table]
+        start = tuple(self.table[g][0] for g in self.group_of)
         rank_begin = []
         for i, phase in enumerate(self.phases):
             per_rank = tuple(
-                (self.table[self.group_of[r]][i],)
-                if varies[self.group_of[r]]
-                else ()
-                for r in range(workload.nprocs)
+                (self.table[g][i],) if varies[g] else ()
+                for g in self.group_of
             )
             if any(per_rank):
                 rank_begin.append((phase, per_rank))
         return GearPlan(
             start_mhz_per_rank=start, rank_begin_calls=tuple(rank_begin)
         )
-
-    def setup(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
-        """Pin each rank's node at its group's first-phase speed."""
-        if len(node_ids) != len(self.group_of):
-            raise ValueError(
-                f"{len(node_ids)} participating nodes but the plan maps "
-                f"{len(self.group_of)} ranks"
-            )
-        for rank, nid in enumerate(node_ids):
-            cluster[nid].cpu.set_speed_mhz(self.table[self.group_of[rank]][0])
 
     def describe(self) -> str:
         label = self.label or "optimal"

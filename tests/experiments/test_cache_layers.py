@@ -379,6 +379,26 @@ def test_counts_are_measurements_across_both_layouts(tmp_path) -> None:
     assert MeasurementCache(tmp_path / "none").clear() == 0  # no root yet
 
 
+def test_len_counts_keys_one_pack_at_a_time(tmp_path, monkeypatch) -> None:
+    # A superseded pack, and a pack with a corrupt record and a keyless
+    # line: a key counts once, corrupt or not; the keyless line never.
+    MeasurementCache(tmp_path).put([(SIBLINGS[0], _measurement("CG.T.4"))])
+    mixed = _pack_with(tmp_path, _entry(workload=4))
+    mixed.write_text(mixed.read_text() + "{truncated\n")
+    cache = MeasurementCache(tmp_path)
+    assert len(cache.packs()) == 2
+    count = len(cache.records())
+    assert count == 3
+
+    def refuse(self):
+        raise AssertionError("len() read every record")
+
+    monkeypatch.setattr(MeasurementCache, "records", refuse)
+    assert len(cache) == count
+    assert cache.clear() == count
+    assert cache.packs() == []
+
+
 # ----------------------------------------------------------------------
 # on-disk layout
 # ----------------------------------------------------------------------

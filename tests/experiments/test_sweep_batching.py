@@ -1,4 +1,5 @@
-"""The runner's batch tier: grouping, equivalence, cache stability.
+"""The runner's batched path (``run_batch``): grouping, equivalence,
+cache stability.
 
 ``ParallelRunner.map`` routes straightline-eligible misses of one
 workload+configuration through ``run_batch``, inline or as one pool

@@ -37,7 +37,7 @@ CASES = [(code, "T", 4) for code in sorted(ALL_CODES)] + [
 
 @pytest.fixture
 def spies(monkeypatch) -> dict:
-    """Calls into the per-point path and the batch tier, by name."""
+    """Calls into the per-point path and ``run_batch``, by name."""
     calls: dict = {"_execute": [], "run_batch": []}
     for module, name in ((parallel, "_execute"), (straightline, "run_batch")):
         real = getattr(module, name)

@@ -203,7 +203,7 @@ def test_dynamic_strategy_falls_back(monkeypatch) -> None:
     class AdHoc(Strategy):
         name = "adhoc-dynamic"
 
-    assert not AdHoc().is_static()
+    assert AdHoc().gear_plan(None) is None
     with pytest.raises(StraightlineUnsupported, match="no static gear plan"):
         run_straightline(WORKLOADS["CG"](), AdHoc())
     m = _event_only(monkeypatch, strategy=AdHoc())

@@ -140,9 +140,15 @@ def test_subclassed_policy_stays_dynamic() -> None:
     assert strategy.gear_plan(FT(klass="T", nprocs=4)) is None
 
 
-def test_guarded_phase_policy_stays_dynamic() -> None:
-    policy = PhasePolicy({"alltoall"}, 600, 1400, min_phase_seconds=0.5)
-    assert InternalStrategy(policy).gear_plan(FT(klass="T", nprocs=4)) is None
+def test_guarded_phase_policy_lowers() -> None:
+    # Nothing acts on min_phase_seconds: the policy lowers to the same
+    # plan as an unguarded one.
+    w = FT(klass="T", nprocs=4)
+    guarded = PhasePolicy({"alltoall"}, 600, 1400, min_phase_seconds=0.5)
+    plain = PhasePolicy({"alltoall"}, 600, 1400)
+    plan = InternalStrategy(guarded).gear_plan(w)
+    assert plan is not None
+    assert plan == InternalStrategy(plain).gear_plan(w)
 
 
 def test_rank_policy_gap_stays_dynamic() -> None:
@@ -152,15 +158,57 @@ def test_rank_policy_gap_stays_dynamic() -> None:
     assert InternalStrategy(policy).gear_plan(CG(klass="T", nprocs=4)) is None
 
 
+class _RecordingContext:
+    """Stands in for a rank's context: records its ``set_cpuspeed`` calls."""
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+        self.calls: list = []
+
+    def set_cpuspeed(self, mhz) -> None:
+        self.calls.append(mhz)
+
+
+@pytest.mark.parametrize(
+    "policy, make_workload",
+    [
+        (PhasePolicy({"alltoall"}, 600, 1400), lambda: FT(klass="T", nprocs=4)),
+        (PhasePolicy({"exchange", "residual"}, 800.0, 1200.0,
+                     min_phase_seconds=0.02), lambda: CG(klass="T", nprocs=4)),
+        (RankPolicy.split(2, high_mhz=1200, low_mhz=800),
+         lambda: CG(klass="T", nprocs=4)),
+        (RankPolicy({0: 600.0, 1: 1400.0, 2: 800.0, 3: 1000.0}),
+         lambda: FT(klass="T", nprocs=4)),
+    ],
+    ids=["phase", "phase-guarded", "rank-split", "rank-map"],
+)
+def test_stock_policy_hooks_issue_the_plan_calls(policy, make_workload) -> None:
+    # The policy's own hooks are an independent reference for the
+    # lowering: at every hook site of every rank they issue exactly the
+    # calls the plan states.
+    w = make_workload()
+    plan = InternalStrategy(policy).gear_plan(w)
+    assert plan is not None
+    for rank in range(w.nprocs):
+        sites = [("init", "", lambda ctx, _: policy.on_init(ctx))]
+        for phase in w.phases:
+            sites.append(("begin", phase, policy.phase_begin))
+            sites.append(("end", phase, policy.phase_end))
+        for kind, phase, hook in sites:
+            ctx = _RecordingContext(rank)
+            hook(ctx, phase)
+            assert tuple(ctx.calls) == plan.calls_at(kind, phase, rank), (
+                kind, phase, rank)
+
+
 def test_is_static_delegates_to_gear_plan() -> None:
-    assert NoDvsStrategy().is_static()
-    assert ExternalStrategy(mhz=800.0).is_static()
+    assert NoDvsStrategy().gear_plan(None).static
     ext = ExternalStrategy(mhz=800.0)
     plan = ext.gear_plan(None)
     assert isinstance(plan, GearPlan) and plan.static
     # An INTERNAL strategy needs the workload to lower, so without one
-    # it is not *statically* known — is_static() stays conservative.
-    assert not InternalStrategy(PhasePolicy({"alltoall"})).is_static()
+    # it has no plan at all.
+    assert InternalStrategy(PhasePolicy({"alltoall"})).gear_plan(None) is None
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,7 @@ def grid(workload):
 
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
 @pytest.mark.parametrize("nprocs", [16, 64, 256])
-def test_batch_vector_matches_per_rank_batch(code, nprocs) -> None:
+def test_run_batch_matches_run_straightline(code, nprocs) -> None:
     # Every point of the batch equals its own single-point run.
     workload = make(code, nprocs)
     points = grid(workload)
@@ -216,7 +216,7 @@ def test_batch_vector_matches_per_rank_batch(code, nprocs) -> None:
 
 
 @pytest.mark.parametrize("code", sorted(WORKLOADS))
-def test_batch_vector_matches_scalar(code) -> None:
+def test_run_batch_matches_event_engine(code) -> None:
     # The batch against the event engine itself, at N=64.
     workload = make(code, 64)
     points = grid(workload)
